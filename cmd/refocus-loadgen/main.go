@@ -69,6 +69,7 @@ import (
 	"syscall"
 	"time"
 
+	"refocus/internal/job"
 	"refocus/internal/opt"
 	"refocus/internal/robust"
 	"refocus/internal/serve"
@@ -173,27 +174,46 @@ func parseSeverities(s string) ([]float64, error) {
 	return out, nil
 }
 
+// awaitJob submits spec to the job endpoint path, reports the submitted
+// status through submitted, and polls the job every interval until its
+// state (read through head) leaves "running". It returns the last
+// status.
+func awaitJob[St any](ctx context.Context, client *serveclient.Client, path string, spec any, interval time.Duration,
+	head func(St) (string, job.State), submitted func(St)) (St, error) {
+	var st St
+	if err := client.StartJob(ctx, path, spec, &st); err != nil {
+		return st, fmt.Errorf("refocus-loadgen: starting %s job: %w", path, err)
+	}
+	submitted(st)
+	for id, state := head(st); state == job.Running; id, state = head(st) {
+		t := time.NewTimer(interval)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return st, fmt.Errorf("refocus-loadgen: canceled while polling %s job %s: %w", path, id, ctx.Err())
+		}
+		var next St
+		if err := client.JobStatus(ctx, path, id, &next); err != nil {
+			return st, fmt.Errorf("refocus-loadgen: polling %s job %s: %w", path, id, err)
+		}
+		st = next
+	}
+	return st, nil
+}
+
 // runRobustness submits one campaign, polls it to completion, and prints
 // the frontier as a severity table.
 func runRobustness(ctx context.Context, client *serveclient.Client, out io.Writer,
 	spec robust.Spec, pollInterval time.Duration, addr string) error {
 	start := time.Now()
-	st, err := client.RobustnessStart(ctx, spec)
+	st, err := awaitJob(ctx, client, "/v1/robustness", spec, pollInterval,
+		func(st robust.StatusResponse) (string, job.State) { return st.ID, st.Status },
+		func(st robust.StatusResponse) {
+			fmt.Fprintf(out, "robustness: campaign %s submitted (%d trials) against %s\n", st.ID, st.TotalTrials, addr)
+		})
 	if err != nil {
-		return fmt.Errorf("refocus-loadgen: starting campaign: %w", err)
-	}
-	fmt.Fprintf(out, "robustness: campaign %s submitted (%d trials) against %s\n", st.ID, st.TotalTrials, addr)
-	for st.Status == robust.StatusRunning {
-		t := time.NewTimer(pollInterval)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return fmt.Errorf("refocus-loadgen: canceled while polling campaign %s: %w", st.ID, ctx.Err())
-		}
-		if st, err = client.RobustnessStatus(ctx, st.ID); err != nil {
-			return fmt.Errorf("refocus-loadgen: polling campaign: %w", err)
-		}
+		return err
 	}
 	fmt.Fprintf(out, "robustness: status=%s completed=%d/%d executed=%d resumed=%d failed_chips=%d in %.2fs\n",
 		st.Status, st.CompletedTrials, st.TotalTrials, st.ExecutedTrials, st.ResumedTrials,
@@ -238,23 +258,14 @@ func parseObjectives(s string) ([]opt.Objective, error) {
 func runOptimize(ctx context.Context, client *serveclient.Client, out io.Writer,
 	spec opt.Spec, pollInterval time.Duration, addr string) error {
 	start := time.Now()
-	st, err := client.OptimizeStart(ctx, spec)
+	st, err := awaitJob(ctx, client, "/v1/optimize", spec, pollInterval,
+		func(st opt.StatusResponse) (string, job.State) { return st.ID, st.Status },
+		func(st opt.StatusResponse) {
+			fmt.Fprintf(out, "optimize: search %s submitted (strategy=%s budget=%d points) against %s\n",
+				st.ID, st.Strategy, st.TotalPoints, addr)
+		})
 	if err != nil {
-		return fmt.Errorf("refocus-loadgen: starting search: %w", err)
-	}
-	fmt.Fprintf(out, "optimize: search %s submitted (strategy=%s budget=%d points) against %s\n",
-		st.ID, st.Strategy, st.TotalPoints, addr)
-	for st.Status == opt.StatusRunning {
-		t := time.NewTimer(pollInterval)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return fmt.Errorf("refocus-loadgen: canceled while polling search %s: %w", st.ID, ctx.Err())
-		}
-		if st, err = client.OptimizeStatus(ctx, st.ID); err != nil {
-			return fmt.Errorf("refocus-loadgen: polling search: %w", err)
-		}
+		return err
 	}
 	fmt.Fprintf(out, "optimize: status=%s completed=%d/%d executed=%d resumed=%d invalid=%d infeasible=%d in %.2fs\n",
 		st.Status, st.CompletedPoints, st.TotalPoints, st.ExecutedPoints, st.ResumedPoints,

@@ -62,6 +62,7 @@ func main() {
 			cfg := jtc.DefaultEngineConfig()
 			cfg.Quant = jtc.QuantConfig{}
 			cfg.Correlator = noise.NoisyCorrelator(jtc.DigitalCorrelator, model, rand.New(rand.NewSource(*seed+int64(200+i))))
+			cfg.Parallelism = 1 // the noisy correlator draws from one unsynchronized rng
 			noisy := net.Forward(in, nn.JTCConv(jtc.NewEngine(cfg)))
 			if nn.Argmax(noisy) != nn.Argmax(net.Forward(in, nn.ReferenceConv)) {
 				flips++

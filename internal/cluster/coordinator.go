@@ -9,15 +9,11 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"os"
 	"strconv"
 	"time"
 
 	"refocus/internal/arch"
-	"refocus/internal/faults"
 	"refocus/internal/obs"
-	"refocus/internal/opt"
-	"refocus/internal/robust"
 	"refocus/internal/serve"
 	"refocus/internal/serveclient"
 )
@@ -127,8 +123,8 @@ type Coordinator struct {
 	metrics *Metrics
 	mux     *http.ServeMux
 	logger  *slog.Logger
-	robust  *robust.Manager
-	opt     *opt.Manager
+	jobs    *serve.Jobs
+	tier    serve.Tier
 }
 
 // New builds a Coordinator and its per-shard clients.
@@ -157,63 +153,25 @@ func New(cfg Config) (*Coordinator, error) {
 		c.clients[s] = cl
 		c.sems[s] = make(chan struct{}, cfg.ShardConcurrency)
 	}
-	c.robust, err = robust.NewManager(robust.ManagerConfig{
-		Dir:  cfg.CampaignDir,
-		Eval: c.campaignEval,
-		// Trials fan out across the whole cluster, so the per-campaign
-		// bound scales with the fleet rather than one worker's pool.
-		Parallelism: cfg.ShardConcurrency * len(cfg.Shards),
-		Hooks: robust.Hooks{
-			CampaignStarted: func() {
-				c.metrics.robustCampaigns.Inc()
-				c.metrics.robustActive.Add(1)
-			},
-			CampaignDone:  func(error) { c.metrics.robustActive.Add(-1) },
-			TrialExecuted: func(robust.TrialResult) { c.metrics.robustTrials.Inc() },
-			TrialResumed:  func(robust.TrialResult) { c.metrics.robustResumed.Inc() },
-		},
-	})
+	c.tier = serve.Tier{MaxBodyBytes: cfg.MaxBodyBytes, WriteJSON: c.writeJSON, StreamLine: c.metrics.stream.Inc}
+	// Job cells fan out across the whole cluster, so the per-job bound
+	// scales with the fleet rather than one worker's pool.
+	c.jobs, err = serve.NewJobs(c.metrics.reg, cfg.CampaignDir, cfg.OptimizeDir, cfg.ShardConcurrency*len(cfg.Shards), c.dispatchCell)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	c.opt, err = opt.NewManager(opt.ManagerConfig{
-		Dir:  cfg.OptimizeDir,
-		Eval: c.optimizeEval,
-		// Candidate evaluations fan out across the whole cluster, so the
-		// per-search bound scales with the fleet rather than one worker's
-		// pool.
-		Parallelism: cfg.ShardConcurrency * len(cfg.Shards),
-		Hooks: opt.Hooks{
-			SearchStarted: func() {
-				c.metrics.optSearches.Inc()
-				c.metrics.optActive.Add(1)
-			},
-			SearchDone:    func(error) { c.metrics.optActive.Add(-1) },
-			PointExecuted: func(opt.CandidateResult) { c.metrics.optPoints.Inc() },
-			PointResumed:  func(opt.CandidateResult) { c.metrics.optResumed.Inc() },
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	c.mux.Handle("POST /v1/evaluate", c.instrument(c.handleEvaluate))
-	c.mux.Handle("POST /v1/sweep", c.instrument(c.handleSweep))
-	c.mux.Handle("POST /v1/robustness", c.instrument(c.handleRobustnessStart))
-	c.mux.Handle("GET /v1/robustness/{id}", c.instrument(c.handleRobustnessStatus))
-	c.mux.Handle("POST /v1/optimize", c.instrument(c.handleOptimizeStart))
-	c.mux.Handle("GET /v1/optimize/{id}", c.instrument(c.handleOptimizeStatus))
-	c.mux.Handle("GET /healthz", c.instrument(c.handleHealthz))
-	c.mux.Handle("GET /metrics", c.instrument(c.handleMetrics))
+	c.mux.Handle("POST /v1/evaluate", c.instrument("/v1/evaluate", c.handleEvaluate))
+	c.mux.Handle("POST /v1/sweep", c.instrument("/v1/sweep", c.handleSweep))
+	c.jobs.Mount(c.mux, c.instrument, c.tier)
+	c.mux.Handle("GET /healthz", c.instrument("/healthz", c.handleHealthz))
+	c.mux.Handle("GET /metrics", c.instrument("/metrics", c.handleMetrics))
 	return c, nil
 }
 
 // Close cancels any running robustness campaigns and design-space
 // searches and waits for them to unwind; their checkpoints survive for
 // the next incarnation to resume.
-func (c *Coordinator) Close() {
-	c.robust.Close()
-	c.opt.Close()
-}
+func (c *Coordinator) Close() { c.jobs.Close() }
 
 // Handler returns the coordinator's HTTP handler (all routes).
 func (c *Coordinator) Handler() http.Handler { return c.mux }
@@ -222,10 +180,15 @@ func (c *Coordinator) Handler() http.Handler { return c.mux }
 func (c *Coordinator) Ring() *Ring { return c.ring }
 
 // MetricsSnapshot returns the current counters — what GET /metrics serves.
-func (c *Coordinator) MetricsSnapshot() Snapshot { return c.metrics.snapshot() }
+func (c *Coordinator) MetricsSnapshot() Snapshot {
+	snap := c.metrics.snapshot()
+	snap.Robustness, snap.Optimize = c.jobs.Stats()
+	return snap
+}
 
-// instrument tracks in-flight requests.
-func (c *Coordinator) instrument(h http.HandlerFunc) http.Handler {
+// instrument tracks in-flight requests. The coordinator keeps no
+// per-route metrics, so the route label is unused.
+func (c *Coordinator) instrument(_ string, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		c.metrics.inFlight.Add(1)
 		defer c.metrics.inFlight.Add(-1)
@@ -240,33 +203,6 @@ func (c *Coordinator) writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v) //nolint:errcheck // a failed write means the client is gone
-}
-
-// writeError sends the worker tier's structured error payload, mapping
-// shard-reported StatusErrors back onto their original status so the
-// coordinator is transparent to clients.
-func (c *Coordinator) writeError(w http.ResponseWriter, err error) {
-	status := serve.StatusOf(err)
-	var se *serveclient.StatusError
-	if errors.As(err, &se) && se.Status >= 400 {
-		status = se.Status
-	}
-	c.writeJSON(w, status, serve.ErrorResponse{Error: err.Error(), Status: status})
-}
-
-// decodeBody strictly parses the request body into v under the size cap.
-func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	body := http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return err
-		}
-		return serve.BadRequest(fmt.Errorf("cluster: parsing request: %w", err))
-	}
-	return nil
 }
 
 // dispatch places one evaluate request on the ring and runs it through
@@ -337,15 +273,15 @@ func (c *Coordinator) dispatchKeyed(ctx context.Context, req serve.EvaluateReque
 // shard (with failover).
 func (c *Coordinator) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var req serve.EvaluateRequest
-	if err := c.decodeBody(w, r, &req); err != nil {
-		c.writeError(w, err)
+	if err := c.tier.Decode(w, r, &req); err != nil {
+		c.tier.WriteError(w, err)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.SweepTimeout)
 	defer cancel()
 	resp, _, err := c.dispatch(ctx, req)
 	if err != nil {
-		c.writeError(w, err)
+		c.tier.WriteError(w, err)
 		return
 	}
 	c.writeJSON(w, http.StatusOK, resp)
@@ -358,12 +294,12 @@ func (c *Coordinator) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 // speaks, so clients cannot tell a coordinator from a worker.
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req serve.SweepRequest
-	if err := c.decodeBody(w, r, &req); err != nil {
-		c.writeError(w, err)
+	if err := c.tier.Decode(w, r, &req); err != nil {
+		c.tier.WriteError(w, err)
 		return
 	}
 	if len(req.Points) == 0 {
-		c.writeError(w, serve.BadRequest(errors.New("cluster: sweep carries no Points")))
+		c.tier.WriteError(w, serve.BadRequest(errors.New("cluster: sweep carries no Points")))
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.SweepTimeout)
@@ -412,102 +348,24 @@ func (c *Coordinator) streamSweep(w http.ResponseWriter, n int, lines <-chan ser
 	}
 }
 
-// metricEnergy extracts energy per inference for geomean aggregation.
-var metricEnergy arch.Metric = func(r arch.Report) float64 { return r.Energy }
-
-// campaignEval is the robust.TrialEval backing coordinator-run
-// campaigns: each trial becomes an evaluate request dispatched onto the
-// ring by its trial-seed route key, riding the same hedged client chain
-// (retries, breaker, dead-shard failover) ordinary points use. A shed
-// trial (the whole chain answering 429) waits out the Retry-After and
-// redispatches — campaign work is deferrable by definition.
-func (c *Coordinator) campaignEval(ctx context.Context, spec robust.Spec, fs faults.FaultSet, routeKey string) (robust.TrialMetrics, error) {
-	req := serve.EvaluateRequest{
-		Preset:  spec.Preset,
-		Config:  spec.Config,
-		Network: spec.Network,
-	}
-	if !fs.IsZero() {
-		data, err := json.Marshal(fs.Canonical())
-		if err != nil {
-			return robust.TrialMetrics{}, err
-		}
-		req.Faults = data
-	}
+// dispatchCell is the coordinator's serve.CellEval: a job cell is
+// dispatched onto the ring by its route key, riding the same hedged
+// client chain (retries, breaker, dead-shard failover) ordinary points
+// use. A cell the whole chain sheds waits a second and redispatches.
+func (c *Coordinator) dispatchCell(ctx context.Context, req serve.EvaluateRequest, routeKey string) ([]arch.Report, error) {
 	for {
 		resp, _, err := c.dispatchKeyed(ctx, req, routeKey)
-		if err == nil {
-			return robust.TrialMetrics{
-				FPS:    arch.GeoMean(resp.Reports, arch.MetricFPS),
-				Energy: arch.GeoMean(resp.Reports, metricEnergy),
-			}, nil
-		}
-		var se *serveclient.StatusError
-		if !errors.As(err, &se) || se.Status != http.StatusTooManyRequests {
-			return robust.TrialMetrics{}, err
+		if !errors.Is(err, serveclient.ErrShed) {
+			return resp.Reports, err
 		}
 		t := time.NewTimer(time.Second)
 		select {
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			return robust.TrialMetrics{}, fmt.Errorf("cluster: campaign trial canceled during backoff: %w", ctx.Err())
+			return nil, fmt.Errorf("cluster: job cell canceled during backoff: %w", ctx.Err())
 		}
 	}
-}
-
-// handleRobustnessStart serves POST /v1/robustness, mirroring the worker
-// tier's handler: validate the spec, start (or attach to / resume) the
-// campaign, answer 202/200 with its status — or stream NDJSON incumbent
-// updates when asked. The campaign itself runs in the coordinator
-// process; only its trials travel to the shards.
-func (c *Coordinator) handleRobustnessStart(w http.ResponseWriter, r *http.Request) {
-	var spec robust.Spec
-	if err := c.decodeBody(w, r, &spec); err != nil {
-		c.writeError(w, err)
-		return
-	}
-	job, created, err := c.robust.Start(spec)
-	if err != nil {
-		if errors.Is(err, robust.ErrBusy) {
-			w.Header().Set("Retry-After", "5")
-			c.writeJSON(w, http.StatusTooManyRequests,
-				serve.ErrorResponse{Error: err.Error(), Status: http.StatusTooManyRequests})
-			return
-		}
-		c.writeError(w, serve.BadRequest(err))
-		return
-	}
-	if serve.WantsNDJSON(r) {
-		robust.StreamUpdates(w, r, job, c.metrics.stream.Inc)
-		return
-	}
-	status := http.StatusOK
-	if created {
-		status = http.StatusAccepted
-	}
-	c.writeJSON(w, status, job.Status())
-}
-
-// handleRobustnessStatus serves GET /v1/robustness/{id} from the live
-// job or the checkpoint on disk.
-func (c *Coordinator) handleRobustnessStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if job, ok := c.robust.Get(id); ok {
-		c.writeJSON(w, http.StatusOK, job.Status())
-		return
-	}
-	st, err := c.robust.StatusFromDisk(id)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			c.writeJSON(w, http.StatusNotFound,
-				serve.ErrorResponse{Error: fmt.Sprintf("cluster: no campaign %q", id), Status: http.StatusNotFound})
-			return
-		}
-		c.writeError(w, err)
-		return
-	}
-	c.writeJSON(w, http.StatusOK, st)
 }
 
 // HealthResponse is the coordinator's /healthz payload.

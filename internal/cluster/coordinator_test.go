@@ -284,3 +284,25 @@ func TestCoordinatorObservability(t *testing.T) {
 		}
 	}
 }
+
+// TestTrailingDataRejectedOnBothTiers: the worker and the coordinator
+// decode request bodies with the same strict decoder, so a valid JSON
+// object followed by trailing data is a 400 on every POST endpoint of
+// both tiers.
+func TestTrailingDataRejectedOnBothTiers(t *testing.T) {
+	_, coordURL, _, shards := testCluster(t, 1, nil)
+	bodies := map[string]string{
+		"/v1/evaluate":   `{"Preset": "fb", "Network": "ResNet-18"}`,
+		"/v1/sweep":      `{"Points": [{"Preset": "fb", "Network": "ResNet-18"}]}`,
+		"/v1/robustness": `{"Preset": "fb", "Network": "ResNet-18"}`,
+		"/v1/optimize":   `{"Preset": "fb", "Network": "ResNet-18"}`,
+	}
+	for tier, url := range map[string]string{"worker": shards[0].URL, "coordinator": coordURL} {
+		for path, body := range bodies {
+			status, resp := postJSON(t, url+path, body+" trailing-garbage")
+			if status != http.StatusBadRequest {
+				t.Errorf("%s %s: trailing data answered %d, want 400: %s", tier, path, status, resp)
+			}
+		}
+	}
+}

@@ -22,16 +22,6 @@ type Metrics struct {
 	points    *obs.Counter
 	pointErrs *obs.Counter
 	stream    *obs.Counter
-
-	robustCampaigns *obs.Counter
-	robustTrials    *obs.Counter
-	robustResumed   *obs.Counter
-	robustActive    atomic.Int64
-
-	optSearches *obs.Counter
-	optPoints   *obs.Counter
-	optResumed  *obs.Counter
-	optActive   atomic.Int64
 }
 
 // shardMetrics is one shard's routing counters.
@@ -47,24 +37,14 @@ type shardMetrics struct {
 func newClusterMetrics(shards []string) *Metrics {
 	reg := obs.NewRegistry()
 	m := &Metrics{
-		reg:             reg,
-		perShard:        make(map[string]*shardMetrics, len(shards)),
-		points:          reg.Counter("refocus_cluster_points_total", "Evaluate requests dispatched by the coordinator (sweep points and single evaluates).", nil),
-		pointErrs:       reg.Counter("refocus_cluster_point_errors_total", "Dispatched points that failed on every ring successor (client-visible losses).", nil),
-		stream:          reg.Counter("refocus_cluster_stream_lines_total", "Sweep results delivered over the coordinator's NDJSON streaming lane.", nil),
-		robustCampaigns: reg.Counter("refocus_robustness_campaigns_total", "Robustness campaigns started on this coordinator (resumed campaigns count again).", nil),
-		robustTrials:    reg.Counter("refocus_robustness_trials_total", "Robustness Monte Carlo trials dispatched across the shards by this coordinator.", nil),
-		robustResumed:   reg.Counter("refocus_robustness_trials_resumed_total", "Robustness trials recovered from checkpoints instead of redispatched.", nil),
-		optSearches:     reg.Counter("refocus_optimize_searches_total", "Design-space searches started on this coordinator (resumed searches count again).", nil),
-		optPoints:       reg.Counter("refocus_optimize_points_total", "Design-space candidate points dispatched across the shards by this coordinator.", nil),
-		optResumed:      reg.Counter("refocus_optimize_points_resumed_total", "Design-space candidate points recovered from checkpoints instead of redispatched.", nil),
+		reg:       reg,
+		perShard:  make(map[string]*shardMetrics, len(shards)),
+		points:    reg.Counter("refocus_cluster_points_total", "Evaluate requests dispatched by the coordinator (sweep points and single evaluates).", nil),
+		pointErrs: reg.Counter("refocus_cluster_point_errors_total", "Dispatched points that failed on every ring successor (client-visible losses).", nil),
+		stream:    reg.Counter("refocus_cluster_stream_lines_total", "Sweep results delivered over the coordinator's NDJSON streaming lane.", nil),
 	}
 	reg.Gauge("refocus_cluster_in_flight", "Requests currently inside a coordinator handler.", nil,
 		func() float64 { return float64(m.inFlight.Load()) })
-	reg.Gauge("refocus_robustness_active_campaigns", "Robustness campaigns currently running on this coordinator.", nil,
-		func() float64 { return float64(m.robustActive.Load()) })
-	reg.Gauge("refocus_optimize_active_searches", "Design-space searches currently running on this coordinator.", nil,
-		func() float64 { return float64(m.optActive.Load()) })
 	for _, s := range shards {
 		labels := obs.Labels{"shard": s}
 		m.perShard[s] = &shardMetrics{
@@ -140,19 +120,7 @@ func (m *Metrics) snapshot() Snapshot {
 		Points:      m.points.Value(),
 		PointErrors: m.pointErrs.Value(),
 		StreamLines: m.stream.Value(),
-		Robustness: serve.RobustnessStats{
-			Campaigns:     m.robustCampaigns.Value(),
-			Active:        m.robustActive.Load(),
-			Trials:        m.robustTrials.Value(),
-			TrialsResumed: m.robustResumed.Value(),
-		},
-		Optimize: serve.OptimizeStats{
-			Searches:      m.optSearches.Value(),
-			Active:        m.optActive.Load(),
-			Points:        m.optPoints.Value(),
-			PointsResumed: m.optResumed.Value(),
-		},
-		Shards: make(map[string]ShardStats),
+		Shards:      make(map[string]ShardStats),
 	}
 	m.mu.Lock()
 	rows := make(map[string]*shardMetrics, len(m.perShard))

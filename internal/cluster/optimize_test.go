@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -139,5 +141,60 @@ func TestCoordinatorOptimizeStreamAndBadSpec(t *testing.T) {
 	}
 	if last.Type != "done" || last.Status == nil || last.Status.Status != opt.StatusDone {
 		t.Fatalf("final stream line is not a done status: %+v", last)
+	}
+}
+
+// TestCoordinatorSearchWaitsOutShed: a shard that sheds a search's first
+// evaluations (429 with Retry-After) past the client's retries delays
+// the coordinator-run search instead of failing it.
+func TestCoordinatorSearchWaitsOutShed(t *testing.T) {
+	shard := serve.New(serve.Config{})
+	t.Cleanup(shard.Close)
+	var evaluates atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/evaluate" && evaluates.Add(1) <= 4 {
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, `{"Error": "serve: worker pool saturated and queue full; retry later", "Status": 429}`, http.StatusTooManyRequests)
+			return
+		}
+		shard.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	coord, err := New(Config{Shards: []string{ts.URL}, HedgeDelay: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	cts := httptest.NewServer(coord.Handler())
+	t.Cleanup(cts.Close)
+
+	spec := `{"Preset": "fb", "Network": "ResNet-18", "Strategy": "random", "Generations": 1, "Population": 2, "Seed": 9}`
+	code, body := postJSON(t, cts.URL+"/v1/optimize", spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit answered %d: %s", code, body)
+	}
+	var st opt.StatusResponse
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for st.Status == opt.StatusRunning && time.Now().Before(deadline) {
+		time.Sleep(50 * time.Millisecond)
+		resp, err := http.Get(cts.URL + "/v1/optimize/" + st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = opt.StatusResponse{}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.Status != opt.StatusDone || st.CompletedPoints != 2 {
+		t.Fatalf("search ended %q with %d/2 points: %s", st.Status, st.CompletedPoints, st.Error)
+	}
+	if n := evaluates.Load(); n <= 4 {
+		t.Errorf("shard saw %d evaluate calls, want the 4 shed ones and more", n)
 	}
 }

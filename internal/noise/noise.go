@@ -21,7 +21,9 @@ import (
 
 // NoisyCorrelator wraps a correlator with detector-referred noise: every
 // output sample of every pass picks up the configured read/shot/RIN noise,
-// exactly as a photodetector array would add it before the ADC.
+// exactly as a photodetector array would add it before the ADC. It draws
+// from rng without locking, so an engine running it must set
+// Parallelism = 1.
 func NoisyCorrelator(base jtc.Correlator, model optics.NoiseModel, rng *rand.Rand) jtc.Correlator {
 	return func(signal, kernel []float64) []float64 {
 		return model.Apply(rng, base(signal, kernel))
@@ -158,6 +160,7 @@ func SmallNetDeviation(net *nn.SmallNet, input *tensor.Tensor, model optics.Nois
 	cfg := jtc.DefaultEngineConfig()
 	cfg.Quant = jtc.QuantConfig{} // isolate analog noise from quantization
 	cfg.Correlator = NoisyCorrelator(jtc.DigitalCorrelator, model, rng)
+	cfg.Parallelism = 1 // the noisy correlator draws from one unsynchronized rng
 	noisy := net.Forward(input, nn.JTCConv(jtc.NewEngine(cfg)))
 
 	return tensor.MaxAbsDiff(ref, noisy)

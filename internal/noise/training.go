@@ -38,6 +38,7 @@ func DeviceConv(sigmaFixed float64, deviceSeed int64, model optics.NoiseModel, r
 	cfg.Quant = jtc.QuantConfig{}
 	corr := FixedPatternCorrelator(jtc.DigitalCorrelator, sigmaFixed, deviceSeed)
 	cfg.Correlator = NoisyCorrelator(corr, model, rng)
+	cfg.Parallelism = 1 // the noisy correlator draws from one unsynchronized rng
 	return nn.JTCConv(jtc.NewEngine(cfg))
 }
 

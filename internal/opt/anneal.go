@@ -3,6 +3,8 @@ package opt
 import (
 	"math"
 	"math/rand"
+
+	"refocus/internal/job"
 )
 
 // annealStrategy is multi-objective simulated annealing: Budget
@@ -62,10 +64,10 @@ func (annealStrategy) Propose(rng *rand.Rand, pc ProposalContext) []Candidate {
 
 		// Replay the walker's Metropolis chain over the completed
 		// generations to recover its current state.
-		state, ok := byCell[cell{0, w}]
+		state, ok := byCell[job.Cell{0, w}]
 		cur := energy(state, ok)
 		for g := 1; g < pc.Gen; g++ {
-			prop, ok := byCell[cell{g, w}]
+			prop, ok := byCell[job.Cell{g, w}]
 			if !ok {
 				continue
 			}

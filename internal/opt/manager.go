@@ -3,27 +3,20 @@ package opt
 import (
 	"context"
 	"errors"
-	"fmt"
-	"os"
-	"sync"
+	"path/filepath"
+
+	"refocus/internal/job"
 )
 
-// ErrBusy reports that the manager is already running its maximum number
-// of concurrent searches; the serving tier maps it to 429 with a
-// Retry-After, mirroring worker-slot shedding.
-var ErrBusy = errors.New("opt: too many active searches")
-
 // Status is a search lifecycle state as reported by StatusResponse.
-type Status string
+type Status = job.State
 
-// Search lifecycle states. StatusInterrupted is only ever reported from
-// disk: a checkpoint exists but no live job does, i.e. the process died
-// mid-search and re-submitting the spec will resume it.
+// Search lifecycle states (see job.State).
 const (
-	StatusRunning     Status = "running"
-	StatusDone        Status = "done"
-	StatusFailed      Status = "failed"
-	StatusInterrupted Status = "interrupted"
+	StatusRunning     = job.Running
+	StatusDone        = job.Done
+	StatusFailed      = job.Failed
+	StatusInterrupted = job.Interrupted
 )
 
 // StatusResponse is the wire form of a search's state, served by
@@ -56,6 +49,72 @@ type StatusResponse struct {
 	Error string `json:",omitempty"`
 }
 
+// CandidateResult is one evaluated design point — the checkpoint's unit
+// of durability and the front's raw material. Every field derives
+// deterministically from (Spec, Gen, Index), so a resumed search
+// reproduces missing candidates bit-for-bit.
+type CandidateResult struct {
+	// Gen and Index address the candidate's cell in the search schedule:
+	// Gen is the proposal round, Index the slot within it.
+	Gen   int
+	Index int
+	// Candidate is the proposed point as axis indices into the space.
+	Candidate Candidate
+	// Seed is CandidateSeed(spec.Seed, Gen, Index), driving the
+	// candidate's yield sweep when the search samples one.
+	Seed int64
+	// M, NRFCU, NLambda and Reuses are the resolved axis values.
+	M       int
+	NRFCU   int
+	NLambda int
+	Reuses  int
+	// Config names the materialized design point and ConfigHash is its
+	// canonical content hash — the route/cache key its evaluation rode.
+	Config     string `json:",omitempty"`
+	ConfigHash string `json:",omitempty"`
+	// Invalid marks a point the architecture model rejects (Note says
+	// why); it is recorded so the search never retries it, but carries
+	// no metrics and can never enter the front.
+	Invalid bool   `json:",omitempty"`
+	Note    string `json:",omitempty"`
+	// Feasible reports whether the point satisfies the spec's area and
+	// power budgets; only feasible points enter the front.
+	Feasible bool `json:",omitempty"`
+	// Metrics are the candidate's measured objectives.
+	Metrics Metrics
+}
+
+// Cell is the candidate's (generation, index) address.
+func (c CandidateResult) Cell() job.Cell { return job.Cell{c.Gen, c.Index} }
+
+// Checkpoint is the durable search state: the job header with every
+// evaluated candidate, then — once the search finishes — the final
+// front. It is written atomically after every evaluated candidate (see
+// job.Cells).
+type Checkpoint struct {
+	job.Checkpoint[Spec, CandidateResult]
+	// Front is the final Pareto front; non-nil only when the search ran
+	// to completion (its presence is how a status probe tells "done"
+	// from "interrupted"). Deliberately not omitempty: a finished search
+	// whose every point broke the budgets has an empty-but-present
+	// front, which must still read back as done.
+	Front []FrontPoint
+}
+
+// CheckpointPath names a search's checkpoint file inside dir.
+func CheckpointPath(dir, id string) string {
+	return filepath.Join(dir, "search-"+id+".json")
+}
+
+// LoadCheckpoint reads and validates a search checkpoint (job.Load).
+func LoadCheckpoint(path string) (*Checkpoint, error) {
+	cp := new(Checkpoint)
+	if err := job.Load[Spec, CandidateResult](path, cp); err != nil {
+		return nil, err
+	}
+	return cp, nil
+}
+
 // ManagerConfig configures a Manager.
 type ManagerConfig struct {
 	// Dir is the checkpoint directory; "" runs searches without
@@ -72,18 +131,12 @@ type ManagerConfig struct {
 	Hooks Hooks
 }
 
-// Manager owns search jobs for a serving process: it starts them,
-// deduplicates re-submissions by search identity, exposes status for
-// live and on-disk searches, and cancels everything on Close.
-type Manager struct {
-	cfg    ManagerConfig
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	mu   sync.Mutex
-	jobs map[string]*Job
-	wg   sync.WaitGroup
-}
+// Manager owns the search jobs of a serving process; Job is one live
+// search.
+type (
+	Manager = job.Manager[Spec, CandidateResult, *Result, StatusResponse]
+	Job     = job.Job[Spec, CandidateResult, *Result, StatusResponse]
+)
 
 // NewManager builds a Manager, creating the checkpoint directory if
 // configured.
@@ -94,264 +147,44 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if cfg.MaxActive < 1 {
 		cfg.MaxActive = 2
 	}
-	if cfg.Dir != "" {
-		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("opt: search dir: %w", err)
-		}
+	run := func(ctx context.Context, j *Job) (*Result, error) {
+		r := &Runner{Spec: j.Spec(), ID: j.ID(), Dir: cfg.Dir, Eval: cfg.Eval, Parallelism: cfg.Parallelism,
+			Hooks: j.Hooks(), OnUpdate: func(u Update) { j.Publish(u) }}
+		return r.Run(ctx)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	return &Manager{cfg: cfg, ctx: ctx, cancel: cancel, jobs: make(map[string]*Job)}, nil
+	return job.NewManager(job.Kind[Spec, CandidateResult, *Result, StatusResponse]{Run: run, Status: status, Load: load},
+		cfg.Dir, cfg.MaxActive, cfg.Hooks)
 }
 
-// Start launches a search for spec, or attaches to the already-running
-// job with the same identity (created reports which). A spec whose
-// checkpoint exists on disk resumes from it. Returns ErrBusy when
-// MaxActive searches are already running.
-func (m *Manager) Start(spec Spec) (job *Job, created bool, err error) {
-	spec = spec.WithDefaults()
-	if err := spec.Validate(); err != nil {
-		return nil, false, err
-	}
-	id, err := spec.ID()
+// load reads a search's checkpoint for a status probe.
+func load(dir, id string) (job.Progress[Spec, CandidateResult, *Result], error) {
+	cp, err := LoadCheckpoint(CheckpointPath(dir, id))
 	if err != nil {
-		return nil, false, err
+		return job.Progress[Spec, CandidateResult, *Result]{}, err
 	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.ctx.Err(); err != nil {
-		return nil, false, fmt.Errorf("opt: manager closed: %w", err)
-	}
-	if j, ok := m.jobs[id]; ok && !j.finished() {
-		return j, false, nil
-	}
-	active := 0
-	for _, j := range m.jobs {
-		if !j.finished() {
-			active++
-		}
-	}
-	if active >= m.cfg.MaxActive {
-		return nil, false, ErrBusy
-	}
-
-	j := newJob(id, spec)
-	m.jobs[id] = j
-	m.wg.Add(1)
-	go m.run(j)
-	return j, true, nil
-}
-
-// Get returns the live job with the given search ID, if any.
-func (m *Manager) Get(id string) (*Job, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	return j, ok
-}
-
-// StatusFromDisk reads a search's checkpoint and reports it as "done"
-// (front present) or "interrupted" (partial — resubmitting the spec
-// resumes it). A missing checkpoint returns an error satisfying
-// errors.Is(err, os.ErrNotExist).
-func (m *Manager) StatusFromDisk(id string) (StatusResponse, error) {
-	if m.cfg.Dir == "" {
-		return StatusResponse{}, os.ErrNotExist
-	}
-	cp, err := LoadCheckpoint(CheckpointPath(m.cfg.Dir, id))
-	if err != nil {
-		return StatusResponse{}, err
-	}
-	st := StatusResponse{
-		ID:              cp.ID,
-		Name:            cp.Spec.Name,
-		Strategy:        cp.Spec.Strategy,
-		Status:          StatusInterrupted,
-		TotalPoints:     cp.Spec.Generations * cp.Spec.Population,
-		CompletedPoints: len(cp.Done),
-		ResumedPoints:   len(cp.Done),
-	}
-	for _, c := range cp.Done {
-		switch {
-		case c.Invalid:
-			st.InvalidPoints++
-		case !c.Feasible:
-			st.InfeasiblePoints++
-		}
-	}
+	p := job.Progress[Spec, CandidateResult, *Result]{ID: cp.ID, Spec: cp.Spec, State: StatusInterrupted,
+		Done: cp.Done, Resumed: len(cp.Done)}
 	if cp.Front != nil {
-		st.Status = StatusDone
-		st.Front = cp.Front
+		p.State, p.Result = StatusDone, &Result{Front: cp.Front}
 	}
-	return st, nil
+	return p, nil
 }
 
-// Close cancels every running search and waits for them to unwind.
-// Their checkpoints survive, so a restarted process resumes them.
-func (m *Manager) Close() {
-	m.cancel()
-	m.wg.Wait()
-}
-
-// run executes one search job to completion.
-func (m *Manager) run(j *Job) {
-	defer m.wg.Done()
-	if h := m.cfg.Hooks.SearchStarted; h != nil {
-		h()
-	}
-	r := &Runner{
-		Spec:        j.spec,
-		ID:          j.id,
-		Dir:         m.cfg.Dir,
-		Eval:        m.cfg.Eval,
-		Parallelism: m.cfg.Parallelism,
-		Hooks: Hooks{
-			PointExecuted: func(c CandidateResult) {
-				j.recordPoint(c, false)
-				if h := m.cfg.Hooks.PointExecuted; h != nil {
-					h(c)
-				}
-			},
-			PointResumed: func(c CandidateResult) {
-				j.recordPoint(c, true)
-				if h := m.cfg.Hooks.PointResumed; h != nil {
-					h(c)
-				}
-			},
-		},
-		OnUpdate: j.publish,
-	}
-	res, err := r.Run(m.ctx)
-	j.finish(res, err)
-	if h := m.cfg.Hooks.SearchDone; h != nil {
-		h(err)
-	}
-}
-
-// Job is one live search: its mutable progress state plus a broadcast
-// channel fan-out for NDJSON streaming.
-type Job struct {
-	id   string
-	spec Spec
-
-	mu       sync.Mutex
-	done     bool
-	executed int
-	resumed  int
-	// records accumulates every evaluated candidate so the incumbent
-	// front can be computed on demand while the search runs.
-	records map[cell]CandidateResult
-	result  *Result
-	errText string
-	subs    map[chan Update]struct{}
-	doneCh  chan struct{}
-}
-
-func newJob(id string, spec Spec) *Job {
-	return &Job{
-		id:      id,
-		spec:    spec,
-		records: make(map[cell]CandidateResult),
-		subs:    make(map[chan Update]struct{}),
-		doneCh:  make(chan struct{}),
-	}
-}
-
-// ID returns the search identity.
-func (j *Job) ID() string { return j.id }
-
-// Done is closed when the search finishes (any outcome).
-func (j *Job) Done() <-chan struct{} { return j.doneCh }
-
-func (j *Job) finished() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.done
-}
-
-// recordPoint updates progress state for one evaluated candidate.
-func (j *Job) recordPoint(c CandidateResult, viaResume bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if viaResume {
-		j.resumed++
-	} else {
-		j.executed++
-	}
-	j.records[cell{c.Gen, c.Index}] = c
-}
-
-// publish broadcasts u to subscribers. Slow subscribers miss
-// intermediate updates (their channel is full); the final line is
-// delivered via Subscribe's close instead.
-func (j *Job) publish(u Update) {
-	j.mu.Lock()
-	for ch := range j.subs {
-		select {
-		case ch <- u:
-		default:
-		}
-	}
-	j.mu.Unlock()
-}
-
-// finish records the terminal state and wakes everyone waiting.
-func (j *Job) finish(res *Result, err error) {
-	j.mu.Lock()
-	j.done = true
-	j.result = res
-	if err != nil {
-		j.errText = err.Error()
-	}
-	for ch := range j.subs {
-		close(ch)
-	}
-	j.subs = make(map[chan Update]struct{})
-	j.mu.Unlock()
-	close(j.doneCh)
-}
-
-// Subscribe returns a channel of progress updates and a cancel func the
-// caller must invoke when done. The channel is closed when the search
-// finishes (immediately, if it already has); intermediate updates are
-// dropped rather than blocking the search when the subscriber lags.
-func (j *Job) Subscribe() (<-chan Update, func()) {
-	ch := make(chan Update, 16)
-	j.mu.Lock()
-	if j.done {
-		j.mu.Unlock()
-		close(ch)
-		return ch, func() {}
-	}
-	j.subs[ch] = struct{}{}
-	j.mu.Unlock()
-	return ch, func() {
-		j.mu.Lock()
-		if _, ok := j.subs[ch]; ok {
-			delete(j.subs, ch)
-			close(ch)
-		}
-		j.mu.Unlock()
-	}
-}
-
-// Status reports the job's current state, including the incumbent front
-// over the candidates evaluated so far.
-func (j *Job) Status() StatusResponse {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// status renders a search's progress. A running search's front is the
+// incumbent over every candidate evaluated so far.
+func status(p job.Progress[Spec, CandidateResult, *Result]) StatusResponse {
 	st := StatusResponse{
-		ID:              j.id,
-		Name:            j.spec.Name,
-		Strategy:        j.spec.Strategy,
-		Status:          StatusRunning,
-		TotalPoints:     j.spec.Generations * j.spec.Population,
-		CompletedPoints: j.executed + j.resumed,
-		ExecutedPoints:  j.executed,
-		ResumedPoints:   j.resumed,
-		Error:           j.errText,
+		ID:              p.ID,
+		Name:            p.Spec.Name,
+		Strategy:        p.Spec.Strategy,
+		Status:          p.State,
+		TotalPoints:     p.Spec.Budget(),
+		CompletedPoints: len(p.Done),
+		ExecutedPoints:  p.Executed,
+		ResumedPoints:   p.Resumed,
+		Error:           p.Error,
 	}
-	for _, c := range j.records {
+	for _, c := range p.Done {
 		switch {
 		case c.Invalid:
 			st.InvalidPoints++
@@ -359,17 +192,13 @@ func (j *Job) Status() StatusResponse {
 			st.InfeasiblePoints++
 		}
 	}
-	if j.done {
-		if j.result != nil {
-			st.Status = StatusDone
-			st.Front = j.result.Front
-		} else {
-			st.Status = StatusFailed
+	switch p.State {
+	case StatusDone:
+		st.Front = p.Result.Front
+	case StatusRunning:
+		if front := computeFront(p.Spec, p.Done); len(front) > 0 {
+			st.Front = front
 		}
-		return st
-	}
-	if front := computeFront(j.spec, j.records); len(front) > 0 {
-		st.Front = front
 	}
 	return st
 }

@@ -390,6 +390,9 @@ func (s Spec) ID() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
+// Budget is the search's budget bound: generations × population.
+func (s Spec) Budget() int { return s.Generations * s.Population }
+
 // CandidateSeed derives the deterministic seed of one (generation,
 // index) cell from the search seed with a splitmix-style mix — the same
 // construction as robust.TrialSeed. Seeds depend only on the cell

@@ -5,11 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"sync"
 
 	"refocus/internal/arch"
 	"refocus/internal/faults"
+	"refocus/internal/job"
 	"refocus/internal/nn"
 )
 
@@ -110,21 +109,19 @@ func frontPoint(r CandidateResult) FrontPoint {
 	}
 }
 
-// computeFront builds the Pareto front from the evaluated-candidate map:
-// valid feasible records in canonical (Gen, Index) order, minus
-// dominated points and exact objective duplicates. It depends only on
-// the record values, never on the order they were computed or which
-// process computed them — the byte-identity guarantee after a resume.
-// The result is non-nil even when empty (a finished search with no
-// feasible point still finished).
-func computeFront(spec Spec, done map[cell]CandidateResult) []FrontPoint {
+// computeFront builds the Pareto front from the evaluated candidates in
+// cell order: valid feasible records, minus dominated points and exact
+// objective duplicates. It depends only on the record values, never on
+// the order they were computed or which process computed them — the
+// byte-identity guarantee after a resume. The result is non-nil even
+// when empty (a finished search with no feasible point still finished).
+func computeFront(spec Spec, done []CandidateResult) []FrontPoint {
 	var recs []CandidateResult
 	for _, r := range done {
 		if !r.Invalid && r.Feasible {
 			recs = append(recs, r)
 		}
 	}
-	sortResults(recs)
 	vecs := make([][]float64, len(recs))
 	for i, r := range recs {
 		vecs[i] = spec.objectiveVector(r.Metrics)
@@ -153,19 +150,9 @@ type Update struct {
 }
 
 // Hooks observes search events, letting the serving tier count metrics
-// without this package importing it. All fields are optional. Runner
-// fires only the point-level hooks; Manager fires the search-level pair.
-type Hooks struct {
-	// SearchStarted fires when a search job begins running; SearchDone
-	// when it finishes (err nil on success).
-	SearchStarted func()
-	SearchDone    func(err error)
-	// PointExecuted fires for every candidate evaluated in this
-	// process; PointResumed for every candidate skipped because a
-	// checkpoint already held its result.
-	PointExecuted func(CandidateResult)
-	PointResumed  func(CandidateResult)
-}
+// without this package importing it: Started and Finished per search,
+// Executed and Resumed per candidate (see job.Hooks).
+type Hooks = job.Hooks[CandidateResult]
 
 // Result is a completed search.
 type Result struct {
@@ -241,65 +228,52 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 			return nil, err
 		}
 	}
-	total := spec.Generations * spec.Population
-
-	done := make(map[cell]CandidateResult, total)
-	path := ""
+	cells := &job.Cells[Spec, CandidateResult]{ID: r.ID, Spec: spec, Hooks: r.Hooks,
+		New: func() job.File[Spec, CandidateResult] { return new(Checkpoint) }}
 	if r.Dir != "" {
-		if err := os.MkdirAll(r.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("opt: checkpoint dir: %w", err)
-		}
-		path = CheckpointPath(r.Dir, r.ID)
-		cp, err := LoadCheckpoint(path)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			// First run: nothing to resume.
-		case err != nil:
-			return nil, err
-		case cp.ID != r.ID:
-			return nil, fmt.Errorf("%w: file %s holds %s, want %s", errWrongSearch, path, cp.ID, r.ID)
-		default:
-			for _, c := range cp.Done {
-				if c.Gen >= 0 && c.Gen < spec.Generations && c.Index >= 0 && c.Index < spec.Population {
-					done[cell{c.Gen, c.Index}] = c
-				}
-			}
-		}
+		cells.Path = CheckpointPath(r.Dir, r.ID)
 	}
-	resumed := len(done)
-	if h := r.Hooks.PointResumed; h != nil {
-		for _, c := range done {
-			h(c)
-		}
+	err = cells.Resume(func(c CandidateResult) bool {
+		return c.Gen >= 0 && c.Gen < spec.Generations && c.Index >= 0 && c.Index < spec.Population
+	})
+	if err != nil {
+		return nil, err
 	}
-	if resumed > 0 {
-		r.update(Update{Type: "point", Completed: resumed, Total: total})
+	total := spec.Budget()
+	if n := cells.Resumed(); n > 0 {
+		r.update(Update{Type: "point", Completed: n, Total: total})
 	}
 
-	executed := 0
 	for gen := 0; gen < spec.Generations; gen++ {
-		cands := r.proposals(strat, g, done, gen)
-		var pending []int
+		cands := r.proposals(strat, g, cells.Done(), gen)
+		var pending []job.Cell
 		for i := range cands {
-			if _, ok := done[cell{gen, i}]; !ok {
-				pending = append(pending, i)
+			if _, ok := cells.Done()[job.Cell{gen, i}]; !ok {
+				pending = append(pending, job.Cell{gen, i})
 			}
 		}
 		if len(pending) == 0 {
 			continue
 		}
-		if err := r.runGeneration(ctx, g, nets, gen, cands, pending, done, path, total); err != nil {
+		err := cells.Run(ctx, r.Parallelism, pending,
+			func(ctx context.Context, c job.Cell) (CandidateResult, error) {
+				return r.runPoint(ctx, g, nets, c[0], c[1], cands[c[1]])
+			},
+			func(c CandidateResult, completed int) {
+				r.update(Update{Type: "point", Completed: completed, Total: total, Point: &c})
+			})
+		if err != nil {
 			return nil, err
 		}
-		executed += len(pending)
 	}
 
+	done := job.Sorted(cells.Done())
 	res := &Result{
 		ID:        r.ID,
 		Spec:      spec,
 		Front:     computeFront(spec, done),
-		Executed:  executed,
-		Resumed:   resumed,
+		Executed:  cells.Executed(),
+		Resumed:   cells.Resumed(),
 		Completed: len(done),
 	}
 	for _, c := range done {
@@ -310,10 +284,8 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 			res.Infeasible++
 		}
 	}
-	if path != "" {
-		if err := writeCheckpoint(path, r.checkpoint(done, res.Front)); err != nil {
-			return nil, err
-		}
+	if err := cells.Commit(&Checkpoint{Front: res.Front}); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -321,14 +293,13 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 // proposals replays generation gen's candidate list: a deterministic
 // function of (spec, strategy, history), which is what lets a resumed
 // search re-derive the exact schedule its checkpointed cells belong to.
-func (r *Runner) proposals(strat Strategy, g *grid, done map[cell]CandidateResult, gen int) []Candidate {
+func (r *Runner) proposals(strat Strategy, g *grid, done map[job.Cell]CandidateResult, gen int) []Candidate {
 	var hist []CandidateResult
-	for _, c := range done {
+	for _, c := range job.Sorted(done) {
 		if c.Gen < gen {
 			hist = append(hist, c)
 		}
 	}
-	sortResults(hist)
 	pc := ProposalContext{
 		Spec:    r.Spec,
 		Dims:    g.dims(),
@@ -346,90 +317,6 @@ func (r *Runner) proposals(strat Strategy, g *grid, done map[cell]CandidateResul
 		cands[i] = g.clamp(cands[i])
 	}
 	return cands
-}
-
-// runGeneration evaluates one generation's pending cells with bounded
-// workers, checkpointing after every candidate.
-func (r *Runner) runGeneration(ctx context.Context, g *grid, nets []nn.Network, gen int, cands []Candidate, pending []int, done map[cell]CandidateResult, path string, total int) error {
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-	}
-	workers := r.Parallelism
-	if workers < 1 {
-		workers = 2
-	}
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range next {
-				c, err := r.runPoint(cctx, g, nets, gen, idx, cands[idx])
-				var u Update
-				mu.Lock()
-				if err != nil {
-					fail(err)
-					mu.Unlock()
-					continue
-				}
-				done[cell{gen, idx}] = c
-				u = Update{Type: "point", Completed: len(done), Total: total, Point: &c}
-				if path != "" {
-					if werr := writeCheckpoint(path, r.checkpoint(done, nil)); werr != nil {
-						fail(werr)
-					}
-				}
-				mu.Unlock()
-				if h := r.Hooks.PointExecuted; h != nil {
-					h(c)
-				}
-				r.update(u)
-			}
-		}()
-	}
-feed:
-	for _, idx := range pending {
-		select {
-		case next <- idx:
-		case <-cctx.Done():
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	return firstErr
-}
-
-// checkpoint assembles the durable state from the evaluated-cell map.
-func (r *Runner) checkpoint(done map[cell]CandidateResult, front []FrontPoint) *Checkpoint {
-	cp := &Checkpoint{
-		Version: checkpointVersion,
-		ID:      r.ID,
-		Spec:    r.Spec,
-		Done:    make([]CandidateResult, 0, len(done)),
-		Front:   front,
-	}
-	for _, c := range done {
-		cp.Done = append(cp.Done, c)
-	}
-	sortResults(cp.Done)
-	return cp
 }
 
 // runPoint evaluates one (generation, index) cell: materialize the

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"refocus/internal/arch"
+	"refocus/internal/job"
 )
 
 // testSpec is a small, fast search over the real grid: 3 generations of
@@ -86,7 +87,7 @@ func TestRunnerResumeByteIdentical(t *testing.T) {
 	var partial atomic.Int64
 	r := &Runner{
 		Spec: spec, ID: id, Dir: dir, Eval: DirectEval(), Parallelism: 2,
-		Hooks: Hooks{PointExecuted: func(CandidateResult) {
+		Hooks: Hooks{Executed: func(CandidateResult) {
 			if partial.Add(1) == 5 {
 				cancel()
 			}
@@ -223,12 +224,12 @@ func TestCheckpointGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeCheckpoint(CheckpointPath(dir, id), &Checkpoint{Version: 1, ID: "someone-else", Spec: spec}); err != nil {
+	if err := job.Write(CheckpointPath(dir, id), &Checkpoint{Checkpoint: job.Checkpoint[Spec, CandidateResult]{Version: 1, ID: "someone-else", Spec: spec}}); err != nil {
 		t.Fatal(err)
 	}
 	r := &Runner{Spec: spec, ID: id, Dir: dir, Eval: DirectEval()}
-	if _, err := r.Run(context.Background()); !errors.Is(err, errWrongSearch) {
-		t.Errorf("wrong-ID checkpoint: got %v, want errWrongSearch", err)
+	if _, err := r.Run(context.Background()); !errors.Is(err, job.ErrWrongJob) {
+		t.Errorf("wrong-ID checkpoint: got %v, want job.ErrWrongJob", err)
 	}
 }
 
@@ -279,8 +280,8 @@ func TestManagerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := &Checkpoint{Version: 1, ID: oid, Spec: other, Done: []CandidateResult{{Gen: 0, Index: 0, Feasible: true}}}
-	if err := writeCheckpoint(CheckpointPath(dir, oid), cp); err != nil {
+	cp := &Checkpoint{Checkpoint: job.Checkpoint[Spec, CandidateResult]{Version: 1, ID: oid, Spec: other, Done: []CandidateResult{{Gen: 0, Index: 0, Feasible: true}}}}
+	if err := job.Write(CheckpointPath(dir, oid), cp); err != nil {
 		t.Fatal(err)
 	}
 	disk, err = m.StatusFromDisk(oid)
@@ -314,8 +315,8 @@ func TestManagerBusy(t *testing.T) {
 	}
 	other := testSpec(StrategyRandom)
 	other.Seed = 1234
-	if _, _, err := m.Start(other); !errors.Is(err, ErrBusy) {
-		t.Errorf("second search should hit ErrBusy, got %v", err)
+	if _, _, err := m.Start(other); !errors.Is(err, job.ErrBusy) {
+		t.Errorf("second search should hit job.ErrBusy, got %v", err)
 	}
 	close(block)
 }
@@ -333,11 +334,11 @@ func TestStreamUpdatesFinalLine(t *testing.T) {
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest("POST", "/v1/optimize", nil)
 	lines := 0
-	StreamUpdates(rec, req, j, func() { lines++ })
+	job.Stream(rec, req, j, func() { lines++ })
 	if lines == 0 {
 		t.Fatal("stream produced no lines")
 	}
-	if ct := rec.Header().Get("Content-Type"); ct != NDJSONContentType {
+	if ct := rec.Header().Get("Content-Type"); ct != job.NDJSONContentType {
 		t.Errorf("Content-Type = %q", ct)
 	}
 	dec := json.NewDecoder(rec.Body)

@@ -3,6 +3,8 @@ package opt
 import (
 	"fmt"
 	"math/rand"
+
+	"refocus/internal/job"
 )
 
 // Strategy vocabulary: the values Spec.Strategy accepts.
@@ -66,16 +68,11 @@ func (pc ProposalContext) Neighbor(rng *rand.Rand, c Candidate) Candidate {
 // Clamp forces every index of c into its axis range.
 func (pc ProposalContext) Clamp(c Candidate) Candidate { return pc.grid.clamp(c) }
 
-// cell addresses one (generation, index) slot of the search schedule.
-type cell struct {
-	gen, index int
-}
-
 // byCell indexes the history by schedule cell.
-func (pc ProposalContext) byCell() map[cell]CandidateResult {
-	m := make(map[cell]CandidateResult, len(pc.History))
+func (pc ProposalContext) byCell() map[job.Cell]CandidateResult {
+	m := make(map[job.Cell]CandidateResult, len(pc.History))
 	for _, r := range pc.History {
-		m[cell{r.Gen, r.Index}] = r
+		m[r.Cell()] = r
 	}
 	return m
 }

@@ -3,27 +3,20 @@ package robust
 import (
 	"context"
 	"errors"
-	"fmt"
-	"os"
-	"sync"
+	"path/filepath"
+
+	"refocus/internal/job"
 )
 
-// ErrBusy reports that the manager is already running its maximum number
-// of concurrent campaigns; the serving tier maps it to 429 with a
-// Retry-After, mirroring worker-slot shedding.
-var ErrBusy = errors.New("robust: too many active campaigns")
-
 // Status is a campaign lifecycle state as reported by StatusResponse.
-type Status string
+type Status = job.State
 
-// Campaign lifecycle states. StatusInterrupted is only ever reported
-// from disk: a checkpoint exists but no live job does, i.e. the process
-// died mid-campaign and re-submitting the spec will resume it.
+// Campaign lifecycle states (see job.State).
 const (
-	StatusRunning     Status = "running"
-	StatusDone        Status = "done"
-	StatusFailed      Status = "failed"
-	StatusInterrupted Status = "interrupted"
+	StatusRunning     = job.Running
+	StatusDone        = job.Done
+	StatusFailed      = job.Failed
+	StatusInterrupted = job.Interrupted
 )
 
 // StatusResponse is the wire form of a campaign's state, served by
@@ -49,10 +42,76 @@ type StatusResponse struct {
 	NominalFPS    float64 `json:",omitempty"`
 	CleanAccuracy float64 `json:",omitempty"`
 	// Frontier is the accuracy/yield/throughput frontier: final on done
-	// campaigns, incumbent (observed-so-far) while running.
+	// campaigns, incumbent (over the trials completed so far) while
+	// running.
 	Frontier []FrontierPoint `json:",omitempty"`
 	// Error explains a failed campaign.
 	Error string `json:",omitempty"`
+}
+
+// TrialResult is one completed Monte Carlo trial — the checkpoint's unit
+// of durability and the frontier's raw material. Every field derives
+// deterministically from (Spec, Severity, Trial), so a resumed campaign
+// reproduces missing trials bit-for-bit.
+type TrialResult struct {
+	// Severity indexes Spec.Severities; Trial indexes [0, Spec.Trials).
+	Severity int
+	Trial    int
+	// Seed is TrialSeed(spec.Seed, Severity, Trial), recorded so a trial
+	// can be replayed standalone.
+	Seed int64
+	// Failed marks a hard chip failure (faults.ErrNothingRuns): no
+	// compute path survives, so the trial counts against yield and is
+	// excluded from the throughput and accuracy distributions.
+	Failed bool `json:",omitempty"`
+	// FPS and Energy are the degraded machine's geomean throughput and
+	// energy per inference across the spec's networks (zero when Failed).
+	FPS    float64 `json:",omitempty"`
+	Energy float64 `json:",omitempty"`
+	// HealthyRFCUs, EffectiveLambda and EffectiveReuses summarize the
+	// fault remapping (the Degradation record's load-bearing fields).
+	HealthyRFCUs    int `json:",omitempty"`
+	EffectiveLambda int `json:",omitempty"`
+	EffectiveReuses int `json:",omitempty"`
+	// Accuracy is the clean-trained reference net's accuracy on this
+	// trial's device datapath (zero when Failed).
+	Accuracy float64 `json:",omitempty"`
+	// RetrainedAccuracy is the accuracy after retraining through the
+	// device model; present only on Retrain campaigns.
+	RetrainedAccuracy *float64 `json:",omitempty"`
+}
+
+// Cell is the trial's (severity, trial) address.
+func (t TrialResult) Cell() job.Cell { return job.Cell{t.Severity, t.Trial} }
+
+// Checkpoint is the durable campaign state: the job header with every
+// completed trial, then — once the campaign finishes — its baselines and
+// final frontier. It is written atomically after every completed trial
+// (see job.Cells).
+type Checkpoint struct {
+	job.Checkpoint[Spec, TrialResult]
+	// NominalFPS and CleanAccuracy are the campaign-level baselines,
+	// present once the campaign finished.
+	NominalFPS    float64 `json:",omitempty"`
+	CleanAccuracy float64 `json:",omitempty"`
+	// Frontier is the final per-severity frontier; non-nil only when the
+	// campaign ran to completion (its presence is how a status probe
+	// tells "done" from "interrupted").
+	Frontier []FrontierPoint `json:",omitempty"`
+}
+
+// CheckpointPath names a campaign's checkpoint file inside dir.
+func CheckpointPath(dir, id string) string {
+	return filepath.Join(dir, "campaign-"+id+".json")
+}
+
+// LoadCheckpoint reads and validates a campaign checkpoint (job.Load).
+func LoadCheckpoint(path string) (*Checkpoint, error) {
+	cp := new(Checkpoint)
+	if err := job.Load[Spec, TrialResult](path, cp); err != nil {
+		return nil, err
+	}
+	return cp, nil
 }
 
 // ManagerConfig configures a Manager.
@@ -71,18 +130,12 @@ type ManagerConfig struct {
 	Hooks Hooks
 }
 
-// Manager owns campaign jobs for a serving process: it starts them,
-// deduplicates re-submissions by campaign identity, exposes status for
-// live and on-disk campaigns, and cancels everything on Close.
-type Manager struct {
-	cfg    ManagerConfig
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	mu   sync.Mutex
-	jobs map[string]*Job
-	wg   sync.WaitGroup
-}
+// Manager owns the campaign jobs of a serving process; Job is one live
+// campaign.
+type (
+	Manager = job.Manager[Spec, TrialResult, *Result, StatusResponse]
+	Job     = job.Job[Spec, TrialResult, *Result, StatusResponse]
+)
 
 // NewManager builds a Manager, creating the checkpoint directory if
 // configured.
@@ -93,280 +146,63 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if cfg.MaxActive < 1 {
 		cfg.MaxActive = 4
 	}
-	if cfg.Dir != "" {
-		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("robust: campaign dir: %w", err)
-		}
+	run := func(ctx context.Context, j *Job) (*Result, error) {
+		r := &Runner{Spec: j.Spec(), ID: j.ID(), Dir: cfg.Dir, Eval: cfg.Eval, Parallelism: cfg.Parallelism,
+			Hooks: j.Hooks(), OnUpdate: func(u Update) { j.Publish(u) }}
+		return r.Run(ctx)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	return &Manager{cfg: cfg, ctx: ctx, cancel: cancel, jobs: make(map[string]*Job)}, nil
+	return job.NewManager(job.Kind[Spec, TrialResult, *Result, StatusResponse]{Run: run, Status: status, Load: load},
+		cfg.Dir, cfg.MaxActive, cfg.Hooks)
 }
 
-// Start launches a campaign for spec, or attaches to the already-running
-// job with the same identity (created reports which). A spec whose
-// checkpoint exists on disk resumes from it. Returns ErrBusy when
-// MaxActive campaigns are already running.
-func (m *Manager) Start(spec Spec) (job *Job, created bool, err error) {
-	spec = spec.WithDefaults()
-	if err := spec.Validate(); err != nil {
-		return nil, false, err
-	}
-	id, err := spec.ID()
+// load reads a campaign's checkpoint for a status probe.
+func load(dir, id string) (job.Progress[Spec, TrialResult, *Result], error) {
+	cp, err := LoadCheckpoint(CheckpointPath(dir, id))
 	if err != nil {
-		return nil, false, err
+		return job.Progress[Spec, TrialResult, *Result]{}, err
 	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.ctx.Err(); err != nil {
-		return nil, false, fmt.Errorf("robust: manager closed: %w", err)
+	p := job.Progress[Spec, TrialResult, *Result]{ID: cp.ID, Spec: cp.Spec, State: StatusInterrupted,
+		Done: cp.Done, Resumed: len(cp.Done)}
+	if cp.Frontier != nil {
+		p.State = StatusDone
+		p.Result = &Result{NominalFPS: cp.NominalFPS, CleanAccuracy: cp.CleanAccuracy, Frontier: cp.Frontier}
 	}
-	if j, ok := m.jobs[id]; ok && !j.finished() {
-		return j, false, nil
-	}
-	active := 0
-	for _, j := range m.jobs {
-		if !j.finished() {
-			active++
-		}
-	}
-	if active >= m.cfg.MaxActive {
-		return nil, false, ErrBusy
-	}
-
-	j := newJob(id, spec)
-	m.jobs[id] = j
-	m.wg.Add(1)
-	go m.run(j)
-	return j, true, nil
+	return p, nil
 }
 
-// Get returns the live job with the given campaign ID, if any.
-func (m *Manager) Get(id string) (*Job, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	return j, ok
-}
-
-// StatusFromDisk reads a campaign's checkpoint and reports it as "done"
-// (frontier present) or "interrupted" (partial — resubmitting the spec
-// resumes it). A missing checkpoint returns an error satisfying
-// errors.Is(err, os.ErrNotExist).
-func (m *Manager) StatusFromDisk(id string) (StatusResponse, error) {
-	if m.cfg.Dir == "" {
-		return StatusResponse{}, os.ErrNotExist
-	}
-	cp, err := LoadCheckpoint(CheckpointPath(m.cfg.Dir, id))
-	if err != nil {
-		return StatusResponse{}, err
-	}
+// status renders a campaign's progress. A running campaign's frontier
+// covers the severities with at least one completed trial, resumed or
+// executed.
+func status(p job.Progress[Spec, TrialResult, *Result]) StatusResponse {
 	st := StatusResponse{
-		ID:              cp.ID,
-		Name:            cp.Spec.Name,
-		Status:          StatusInterrupted,
-		TotalTrials:     len(cp.Spec.Severities) * cp.Spec.Trials,
-		CompletedTrials: len(cp.Done),
-		ResumedTrials:   len(cp.Done),
+		ID:              p.ID,
+		Name:            p.Spec.Name,
+		Status:          p.State,
+		TotalTrials:     p.Spec.Budget(),
+		CompletedTrials: len(p.Done),
+		ExecutedTrials:  p.Executed,
+		ResumedTrials:   p.Resumed,
+		Error:           p.Error,
 	}
-	for _, t := range cp.Done {
+	bySeverity := make([][]TrialResult, len(p.Spec.Severities))
+	for _, t := range p.Done {
 		if t.Failed {
 			st.FailedChips++
 		}
-	}
-	if cp.Frontier != nil {
-		st.Status = StatusDone
-		st.Frontier = cp.Frontier
-		st.NominalFPS = cp.NominalFPS
-		st.CleanAccuracy = cp.CleanAccuracy
-	}
-	return st, nil
-}
-
-// Close cancels every running campaign and waits for them to unwind.
-// Their checkpoints survive, so a restarted process resumes them.
-func (m *Manager) Close() {
-	m.cancel()
-	m.wg.Wait()
-}
-
-// run executes one campaign job to completion.
-func (m *Manager) run(j *Job) {
-	defer m.wg.Done()
-	if h := m.cfg.Hooks.CampaignStarted; h != nil {
-		h()
-	}
-	r := &Runner{
-		Spec:        j.spec,
-		ID:          j.id,
-		Dir:         m.cfg.Dir,
-		Eval:        m.cfg.Eval,
-		Parallelism: m.cfg.Parallelism,
-		Hooks: Hooks{
-			TrialExecuted: func(t TrialResult) {
-				j.recordTrial(t, false)
-				if h := m.cfg.Hooks.TrialExecuted; h != nil {
-					h(t)
-				}
-			},
-			TrialResumed: func(t TrialResult) {
-				j.recordTrial(t, true)
-				if h := m.cfg.Hooks.TrialResumed; h != nil {
-					h(t)
-				}
-			},
-		},
-		OnUpdate: j.publish,
-	}
-	res, err := r.Run(m.ctx)
-	j.finish(res, err)
-	if h := m.cfg.Hooks.CampaignDone; h != nil {
-		h(err)
-	}
-}
-
-// Job is one live campaign: its mutable progress state plus a broadcast
-// channel fan-out for NDJSON streaming.
-type Job struct {
-	id   string
-	spec Spec
-
-	mu       sync.Mutex
-	done     bool
-	executed int
-	resumed  int
-	failed   int
-	// incumbents holds the freshest frontier point per severity index.
-	incumbents map[int]*FrontierPoint
-	result     *Result
-	errText    string
-	subs       map[chan Update]struct{}
-	doneCh     chan struct{}
-}
-
-func newJob(id string, spec Spec) *Job {
-	return &Job{
-		id:         id,
-		spec:       spec,
-		incumbents: make(map[int]*FrontierPoint),
-		subs:       make(map[chan Update]struct{}),
-		doneCh:     make(chan struct{}),
-	}
-}
-
-// ID returns the campaign identity.
-func (j *Job) ID() string { return j.id }
-
-// Done is closed when the campaign finishes (any outcome).
-func (j *Job) Done() <-chan struct{} { return j.doneCh }
-
-func (j *Job) finished() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.done
-}
-
-// recordTrial updates progress counters for one completed trial.
-func (j *Job) recordTrial(t TrialResult, viaResume bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if viaResume {
-		j.resumed++
-	} else {
-		j.executed++
-	}
-	if t.Failed {
-		j.failed++
-	}
-}
-
-// publish records the incumbent and broadcasts u to subscribers.
-// Slow subscribers miss intermediate updates (their channel is full);
-// the final line is delivered via Subscribe's close instead.
-func (j *Job) publish(u Update) {
-	j.mu.Lock()
-	if u.Incumbent != nil {
-		j.incumbents[u.Incumbent.SeverityIndex] = u.Incumbent
-	}
-	for ch := range j.subs {
-		select {
-		case ch <- u:
-		default:
+		if t.Severity >= 0 && t.Severity < len(bySeverity) {
+			bySeverity[t.Severity] = append(bySeverity[t.Severity], t)
 		}
 	}
-	j.mu.Unlock()
-}
-
-// finish records the terminal state and wakes everyone waiting.
-func (j *Job) finish(res *Result, err error) {
-	j.mu.Lock()
-	j.done = true
-	j.result = res
-	if err != nil {
-		j.errText = err.Error()
-	}
-	for ch := range j.subs {
-		close(ch)
-	}
-	j.subs = make(map[chan Update]struct{})
-	j.mu.Unlock()
-	close(j.doneCh)
-}
-
-// Subscribe returns a channel of progress updates and a cancel func the
-// caller must invoke when done. The channel is closed when the campaign
-// finishes (immediately, if it already has); intermediate updates are
-// dropped rather than blocking the campaign when the subscriber lags.
-func (j *Job) Subscribe() (<-chan Update, func()) {
-	ch := make(chan Update, 16)
-	j.mu.Lock()
-	if j.done {
-		j.mu.Unlock()
-		close(ch)
-		return ch, func() {}
-	}
-	j.subs[ch] = struct{}{}
-	j.mu.Unlock()
-	return ch, func() {
-		j.mu.Lock()
-		if _, ok := j.subs[ch]; ok {
-			delete(j.subs, ch)
-			close(ch)
-		}
-		j.mu.Unlock()
-	}
-}
-
-// Status reports the job's current state, including incumbent frontier
-// points for severities with at least one completed trial.
-func (j *Job) Status() StatusResponse {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := StatusResponse{
-		ID:              j.id,
-		Name:            j.spec.Name,
-		Status:          StatusRunning,
-		TotalTrials:     len(j.spec.Severities) * j.spec.Trials,
-		CompletedTrials: j.executed + j.resumed,
-		ExecutedTrials:  j.executed,
-		ResumedTrials:   j.resumed,
-		FailedChips:     j.failed,
-		Error:           j.errText,
-	}
-	if j.done {
-		if j.result != nil {
-			st.Status = StatusDone
-			st.Frontier = j.result.Frontier
-			st.NominalFPS = j.result.NominalFPS
-			st.CleanAccuracy = j.result.CleanAccuracy
-		} else {
-			st.Status = StatusFailed
-		}
-		return st
-	}
-	for s := range j.spec.Severities {
-		if p := j.incumbents[s]; p != nil {
-			st.Frontier = append(st.Frontier, *p)
+	switch p.State {
+	case StatusDone:
+		st.Frontier = p.Result.Frontier
+		st.NominalFPS = p.Result.NominalFPS
+		st.CleanAccuracy = p.Result.CleanAccuracy
+	case StatusRunning:
+		for s, ts := range bySeverity {
+			if len(ts) > 0 {
+				st.Frontier = append(st.Frontier, frontierPoint(p.Spec, s, ts))
+			}
 		}
 	}
 	return st

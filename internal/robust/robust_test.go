@@ -7,10 +7,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"refocus/internal/faults"
+	"refocus/internal/job"
 )
 
 // testSpec is a deliberately tiny campaign: 2 severities × 4 trials with
@@ -165,21 +168,25 @@ func TestSpecValidate(t *testing.T) {
 
 // TestCampaignDeterministic: two uninterrupted runs of the same spec in
 // fresh directories produce byte-identical frontiers, regardless of
-// worker parallelism.
+// worker parallelism — retraining campaigns included, whose per-trial
+// device engines must not share their noise source across goroutines.
 func TestCampaignDeterministic(t *testing.T) {
-	spec := testSpec()
-	a := runCampaign(t, spec, t.TempDir(), 1)
-	b := runCampaign(t, spec, t.TempDir(), 4)
-	fa, fb := marshalFrontier(t, a.Frontier), marshalFrontier(t, b.Frontier)
-	if !bytes.Equal(fa, fb) {
-		t.Errorf("frontiers differ across parallelism:\n%s\n%s", fa, fb)
-	}
-	if a.CleanAccuracy != b.CleanAccuracy || a.NominalFPS != b.NominalFPS {
-		t.Error("campaign baselines differ between identical runs")
-	}
-	total := len(spec.Severities) * spec.Trials
-	if a.Executed != total || a.Resumed != 0 {
-		t.Errorf("uninterrupted run reported executed=%d resumed=%d, want %d/0", a.Executed, a.Resumed, total)
+	retrain := testSpec()
+	retrain.Retrain = true
+	for _, spec := range []Spec{testSpec(), retrain} {
+		a := runCampaign(t, spec, t.TempDir(), 1)
+		b := runCampaign(t, spec, t.TempDir(), 4)
+		fa, fb := marshalFrontier(t, a.Frontier), marshalFrontier(t, b.Frontier)
+		if !bytes.Equal(fa, fb) {
+			t.Errorf("Retrain=%v: frontiers differ across parallelism:\n%s\n%s", spec.Retrain, fa, fb)
+		}
+		if a.CleanAccuracy != b.CleanAccuracy || a.NominalFPS != b.NominalFPS {
+			t.Errorf("Retrain=%v: campaign baselines differ between identical runs", spec.Retrain)
+		}
+		total := len(spec.Severities) * spec.Trials
+		if a.Executed != total || a.Resumed != 0 {
+			t.Errorf("uninterrupted run reported executed=%d resumed=%d, want %d/0", a.Executed, a.Resumed, total)
+		}
 	}
 }
 
@@ -220,7 +227,7 @@ func TestCampaignResumeByteIdentical(t *testing.T) {
 	var resumedHook atomic.Int64
 	resumed := &Runner{
 		Spec: spec, ID: interrupted.ID, Dir: dir, Eval: fakeEval, Parallelism: 2,
-		Hooks: Hooks{TrialResumed: func(TrialResult) { resumedHook.Add(1) }},
+		Hooks: Hooks{Resumed: func(TrialResult) { resumedHook.Add(1) }},
 	}
 	res, err := resumed.Run(context.Background())
 	if err != nil {
@@ -257,13 +264,13 @@ func TestCheckpointRejectsWrongCampaign(t *testing.T) {
 	spec := testSpec()
 	dir := t.TempDir()
 	id := mustID(t, spec)
-	other := &Checkpoint{Version: checkpointVersion, ID: "deadbeef", Spec: spec}
-	if err := writeCheckpoint(CheckpointPath(dir, id), other); err != nil {
+	other := &Checkpoint{Checkpoint: job.Checkpoint[Spec, TrialResult]{Version: job.Version, ID: "deadbeef", Spec: spec}}
+	if err := job.Write(CheckpointPath(dir, id), other); err != nil {
 		t.Fatal(err)
 	}
 	_, err := (&Runner{Spec: spec, ID: id, Dir: dir, Eval: fakeEval}).Run(context.Background())
-	if !errors.Is(err, errWrongCampaign) {
-		t.Fatalf("got %v, want errWrongCampaign", err)
+	if !errors.Is(err, job.ErrWrongJob) {
+		t.Fatalf("got %v, want job.ErrWrongJob", err)
 	}
 }
 
@@ -383,7 +390,8 @@ func TestManagerLifecycle(t *testing.T) {
 	}
 }
 
-// TestManagerBusy: MaxActive bounds concurrent campaigns with ErrBusy.
+// TestManagerBusy: MaxActive bounds concurrent campaigns with
+// job.ErrBusy.
 func TestManagerBusy(t *testing.T) {
 	release := make(chan struct{})
 	slowEval := func(ctx context.Context, spec Spec, fs faults.FaultSet, key string) (TrialMetrics, error) {
@@ -407,8 +415,8 @@ func TestManagerBusy(t *testing.T) {
 	}
 	second := testSpec()
 	second.Seed = 999
-	if _, _, err := m.Start(second); !errors.Is(err, ErrBusy) {
-		t.Fatalf("second campaign got %v, want ErrBusy", err)
+	if _, _, err := m.Start(second); !errors.Is(err, job.ErrBusy) {
+		t.Fatalf("second campaign got %v, want job.ErrBusy", err)
 	}
 	// Re-submitting the *same* spec attaches instead of counting against
 	// the budget.
@@ -444,5 +452,68 @@ func TestJobSubscribe(t *testing.T) {
 	defer lateCancel()
 	if _, ok := <-late; ok {
 		t.Error("late subscriber's channel should be closed immediately")
+	}
+}
+
+// TestResumedStatusShowsFrontier: a running campaign's status builds its
+// incumbent frontier from every completed trial, so the trials a resume
+// recovered from the checkpoint show up before any new trial finishes.
+func TestResumedStatusShowsFrontier(t *testing.T) {
+	spec := testSpec()
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	partial := &Runner{
+		Spec: spec, ID: mustID(t, spec), Dir: dir, Eval: fakeEval, Parallelism: 1,
+		OnUpdate: func(u Update) {
+			if u.Completed >= 2 {
+				cancel()
+			}
+		},
+	}
+	if _, err := partial.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run returned %v, want context.Canceled", err)
+	}
+	cp, err := LoadCheckpoint(CheckpointPath(dir, partial.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	release := make(chan struct{})
+	defer close(release)
+	blocked := func(ctx context.Context, spec Spec, fs faults.FaultSet, key string) (TrialMetrics, error) {
+		if !strings.HasSuffix(key, "|nominal") {
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return TrialMetrics{}, ctx.Err()
+			}
+		}
+		return fakeEval(ctx, spec, fs, key)
+	}
+	m, err := NewManager(ManagerConfig{Dir: dir, Eval: blocked, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	j, _, err := m.Start(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	st := j.Status()
+	for st.ResumedTrials < len(cp.Done) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		st = j.Status()
+	}
+	if st.Status != StatusRunning || st.ResumedTrials != len(cp.Done) || st.CompletedTrials != len(cp.Done) {
+		t.Fatalf("resumed campaign status %q completed=%d resumed=%d, want running %d/%d",
+			st.Status, st.CompletedTrials, st.ResumedTrials, len(cp.Done), len(cp.Done))
+	}
+	counted := 0
+	for _, p := range st.Frontier {
+		counted += p.Trials
+	}
+	if len(st.Frontier) == 0 || counted != len(cp.Done) {
+		t.Errorf("running frontier covers %d trials in %d points, want the %d resumed ones", counted, len(st.Frontier), len(cp.Done))
 	}
 }

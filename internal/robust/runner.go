@@ -5,11 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"sync"
 
 	"refocus/internal/arch"
 	"refocus/internal/faults"
+	"refocus/internal/job"
 )
 
 // TrialMetrics is the throughput side of one surviving trial: geomean
@@ -62,10 +61,16 @@ func DirectEval() TrialEval {
 		if err != nil {
 			return TrialMetrics{}, err
 		}
-		return TrialMetrics{
-			FPS:    arch.GeoMean(reports, arch.MetricFPS),
-			Energy: arch.GeoMean(reports, metricEnergy),
-		}, nil
+		return TrialMetricsFromReports(reports), nil
+	}
+}
+
+// TrialMetricsFromReports aggregates per-network reports the way every
+// eval tier must: geomean throughput and energy per inference.
+func TrialMetricsFromReports(reports []arch.Report) TrialMetrics {
+	return TrialMetrics{
+		FPS:    arch.GeoMean(reports, arch.MetricFPS),
+		Energy: arch.GeoMean(reports, metricEnergy),
 	}
 }
 
@@ -113,20 +118,9 @@ type Update struct {
 }
 
 // Hooks observes campaign events, letting the serving tier count
-// metrics without this package importing it. All fields are optional.
-// Runner fires only the trial-level hooks; Manager fires the campaign-
-// level pair.
-type Hooks struct {
-	// CampaignStarted fires when a campaign job begins running;
-	// CampaignDone when it finishes (err nil on success).
-	CampaignStarted func()
-	CampaignDone    func(err error)
-	// TrialExecuted fires for every trial computed in this process;
-	// TrialResumed for every trial skipped because a checkpoint already
-	// held its result.
-	TrialExecuted func(TrialResult)
-	TrialResumed  func(TrialResult)
-}
+// metrics without this package importing it: Started and Finished per
+// campaign, Executed and Resumed per trial (see job.Hooks).
+type Hooks = job.Hooks[TrialResult]
 
 // Result is a completed campaign.
 type Result struct {
@@ -171,11 +165,6 @@ type Runner struct {
 	OnUpdate func(Update)
 }
 
-// trialKey addresses one (severity, trial) cell.
-type trialKey struct {
-	sev, trial int
-}
-
 // update emits u when a sink is attached.
 func (r *Runner) update(u Update) {
 	if r.OnUpdate != nil {
@@ -196,36 +185,16 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	total := len(spec.Severities) * spec.Trials
-
-	done := make(map[trialKey]TrialResult, total)
-	path := ""
+	cells := &job.Cells[Spec, TrialResult]{ID: r.ID, Spec: spec, Hooks: r.Hooks,
+		New: func() job.File[Spec, TrialResult] { return new(Checkpoint) }}
 	if r.Dir != "" {
-		if err := os.MkdirAll(r.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("robust: checkpoint dir: %w", err)
-		}
-		path = CheckpointPath(r.Dir, r.ID)
-		cp, err := LoadCheckpoint(path)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			// First run: nothing to resume.
-		case err != nil:
-			return nil, err
-		case cp.ID != r.ID:
-			return nil, fmt.Errorf("%w: file %s holds %s, want %s", errWrongCampaign, path, cp.ID, r.ID)
-		default:
-			for _, t := range cp.Done {
-				if t.Severity >= 0 && t.Severity < len(spec.Severities) && t.Trial >= 0 && t.Trial < spec.Trials {
-					done[trialKey{t.Severity, t.Trial}] = t
-				}
-			}
-		}
+		cells.Path = CheckpointPath(r.Dir, r.ID)
 	}
-	resumed := len(done)
-	if h := r.Hooks.TrialResumed; h != nil {
-		for _, t := range done {
-			h(t)
-		}
+	err = cells.Resume(func(t TrialResult) bool {
+		return t.Severity >= 0 && t.Severity < len(spec.Severities) && t.Trial >= 0 && t.Trial < spec.Trials
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Baselines: the clean reference net (trains once per campaign) and
@@ -235,84 +204,29 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("robust: nominal evaluation: %w", err)
 	}
-	if resumed > 0 {
-		r.update(Update{Type: "trial", Completed: resumed, Total: total})
+	total := spec.Budget()
+	if n := cells.Resumed(); n > 0 {
+		r.update(Update{Type: "trial", Completed: n, Total: total})
 	}
 
-	var pending []trialKey
+	var pending []job.Cell
 	for s := range spec.Severities {
 		for t := 0; t < spec.Trials; t++ {
-			if _, ok := done[trialKey{s, t}]; !ok {
-				pending = append(pending, trialKey{s, t})
+			if _, ok := cells.Done()[job.Cell{s, t}]; !ok {
+				pending = append(pending, job.Cell{s, t})
 			}
 		}
 	}
-
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-	}
-	workers := r.Parallelism
-	if workers < 1 {
-		workers = 2
-	}
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	next := make(chan trialKey)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range next {
-				t, err := r.runTrial(cctx, cfg, har, k.sev, k.trial)
-				var u Update
-				mu.Lock()
-				if err != nil {
-					fail(err)
-					mu.Unlock()
-					continue
-				}
-				done[k] = t
-				point := partialPoint(spec, done, k.sev)
-				u = Update{Type: "trial", Completed: len(done), Total: total, Incumbent: &point}
-				if path != "" {
-					if werr := writeCheckpoint(path, r.checkpoint(done, nil, 0, 0)); werr != nil {
-						fail(werr)
-					}
-				}
-				mu.Unlock()
-				if h := r.Hooks.TrialExecuted; h != nil {
-					h(t)
-				}
-				r.update(u)
-			}
-		}()
-	}
-feed:
-	for _, k := range pending {
-		select {
-		case next <- k:
-		case <-cctx.Done():
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	if firstErr != nil {
-		return nil, firstErr
+	err = cells.Run(ctx, r.Parallelism, pending,
+		func(ctx context.Context, c job.Cell) (TrialResult, error) {
+			return r.runTrial(ctx, cfg, har, c[0], c[1])
+		},
+		func(t TrialResult, completed int) {
+			point := frontierPoint(spec, t.Severity, cells.Row(t.Severity, spec.Trials))
+			r.update(Update{Type: "trial", Completed: completed, Total: total, Incumbent: &point})
+		})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{
@@ -320,40 +234,23 @@ feed:
 		Spec:          spec,
 		NominalFPS:    nominal.FPS,
 		CleanAccuracy: har.cleanAccuracy,
-		Frontier:      computeFrontier(spec, done),
-		Executed:      len(pending),
-		Resumed:       resumed,
+		Frontier:      make([]FrontierPoint, len(spec.Severities)),
+		Executed:      cells.Executed(),
+		Resumed:       cells.Resumed(),
 	}
-	for _, t := range done {
+	for s := range spec.Severities {
+		res.Frontier[s] = frontierPoint(spec, s, cells.Row(s, spec.Trials))
+	}
+	for _, t := range cells.Done() {
 		if t.Failed {
 			res.FailedChips++
 		}
 	}
-	if path != "" {
-		cp := r.checkpoint(done, res.Frontier, res.NominalFPS, res.CleanAccuracy)
-		if err := writeCheckpoint(path, cp); err != nil {
-			return nil, err
-		}
+	cp := &Checkpoint{NominalFPS: res.NominalFPS, CleanAccuracy: res.CleanAccuracy, Frontier: res.Frontier}
+	if err := cells.Commit(cp); err != nil {
+		return nil, err
 	}
 	return res, nil
-}
-
-// checkpoint assembles the durable state from the completed-trial map.
-func (r *Runner) checkpoint(done map[trialKey]TrialResult, frontier []FrontierPoint, nominalFPS, cleanAcc float64) *Checkpoint {
-	cp := &Checkpoint{
-		Version:       checkpointVersion,
-		ID:            r.ID,
-		Spec:          r.Spec,
-		Done:          make([]TrialResult, 0, len(done)),
-		Frontier:      frontier,
-		NominalFPS:    nominalFPS,
-		CleanAccuracy: cleanAcc,
-	}
-	for _, t := range done {
-		cp.Done = append(cp.Done, t)
-	}
-	sortResults(cp.Done)
-	return cp
 }
 
 // runTrial computes one (severity, trial) cell: sample faults from the
@@ -397,18 +294,6 @@ func (r *Runner) runTrial(ctx context.Context, cfg arch.SystemConfig, har *harne
 	return t, nil
 }
 
-// partialPoint computes one severity's incumbent frontier point from the
-// trials completed so far.
-func partialPoint(spec Spec, done map[trialKey]TrialResult, sev int) FrontierPoint {
-	var ts []TrialResult
-	for t := 0; t < spec.Trials; t++ {
-		if r, ok := done[trialKey{sev, t}]; ok {
-			ts = append(ts, r)
-		}
-	}
-	return frontierPoint(spec, sev, ts)
-}
-
 // frontierPoint summarizes one severity level's trials.
 func frontierPoint(spec Spec, sev int, ts []TrialResult) FrontierPoint {
 	p := FrontierPoint{Severity: spec.Severities[sev], SeverityIndex: sev, Trials: len(ts)}
@@ -437,15 +322,4 @@ func frontierPoint(spec Spec, sev int, ts []TrialResult) FrontierPoint {
 		p.Retrained = &d
 	}
 	return p
-}
-
-// computeFrontier builds the final frontier from the complete trial map,
-// in severity order. It depends only on the trial values, never on the
-// order they were computed or which process computed them.
-func computeFrontier(spec Spec, done map[trialKey]TrialResult) []FrontierPoint {
-	out := make([]FrontierPoint, len(spec.Severities))
-	for s := range spec.Severities {
-		out[s] = partialPoint(spec, done, s)
-	}
-	return out
 }

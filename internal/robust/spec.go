@@ -330,6 +330,9 @@ func (s Spec) ID() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
+// Budget is the campaign's trial count: severities × trials.
+func (s Spec) Budget() int { return len(s.Severities) * s.Trials }
+
 // TrialSeed derives the deterministic seed of one (severity, trial) cell
 // from the campaign seed with a splitmix-style mix. Seeds depend only on
 // the indices — never on execution order, worker count or resume

@@ -67,16 +67,6 @@ type Metrics struct {
 	chaosSlowed   *obs.Counter
 	streamLines   *obs.Counter
 
-	robustCampaigns *obs.Counter
-	robustTrials    *obs.Counter
-	robustResumed   *obs.Counter
-	robustActive    atomic.Int64
-
-	optSearches *obs.Counter
-	optPoints   *obs.Counter
-	optResumed  *obs.Counter
-	optActive   atomic.Int64
-
 	queueWait   *obs.Histogram
 	cacheLookup *obs.Histogram
 	evaluate    *obs.Histogram
@@ -89,32 +79,22 @@ type Metrics struct {
 func newMetrics(cache ResultStore) *Metrics {
 	reg := obs.NewRegistry()
 	m := &Metrics{
-		reg:             reg,
-		endpoints:       make(map[string]*endpointMetrics),
-		cacheHits:       reg.Counter("refocus_cache_hits_total", "Result-cache hits across all requests.", nil),
-		cacheMisses:     reg.Counter("refocus_cache_misses_total", "Result-cache misses across all requests.", nil),
-		evaluations:     reg.Counter("refocus_evaluations_total", "Design-point evaluations executed on the worker pool (cache misses that did real work).", nil),
-		shed:            reg.Counter("refocus_shed_total", "Requests rejected with 429 because the bounded queue ahead of the worker pool was full.", nil),
-		chaosInjected:   reg.Counter("refocus_chaos_injected_total", "Requests failed on purpose by the opt-in chaos middleware.", nil),
-		chaosSlowed:     reg.Counter("refocus_chaos_slowed_total", "Evaluations delayed on purpose by the opt-in chaos middleware.", nil),
-		streamLines:     reg.Counter("refocus_sweep_stream_lines_total", "Sweep results delivered over the NDJSON streaming lane.", nil),
-		robustCampaigns: reg.Counter("refocus_robustness_campaigns_total", "Robustness campaigns started on this process (resumed campaigns count again).", nil),
-		robustTrials:    reg.Counter("refocus_robustness_trials_total", "Robustness Monte Carlo trials executed by this process.", nil),
-		robustResumed:   reg.Counter("refocus_robustness_trials_resumed_total", "Robustness trials recovered from checkpoints instead of recomputed.", nil),
-		optSearches:     reg.Counter("refocus_optimize_searches_total", "Design-space searches started on this process (resumed searches count again).", nil),
-		optPoints:       reg.Counter("refocus_optimize_points_total", "Design-space candidate points evaluated by this process.", nil),
-		optResumed:      reg.Counter("refocus_optimize_points_resumed_total", "Design-space candidate points recovered from checkpoints instead of recomputed.", nil),
-		queueWait:       reg.Histogram("refocus_queue_wait_seconds", "Time requests spent waiting for a worker slot.", nil, obs.FineBuckets),
-		cacheLookup:     reg.Histogram("refocus_cache_lookup_seconds", "Time spent probing the result cache per request.", nil, obs.FineBuckets),
-		evaluate:        reg.Histogram("refocus_evaluate_seconds", "Time spent in design-point evaluation per request that reached the worker pool.", nil, obs.DefBuckets),
-		encode:          reg.Histogram("refocus_encode_seconds", "Time spent JSON-encoding responses.", nil, obs.FineBuckets),
+		reg:           reg,
+		endpoints:     make(map[string]*endpointMetrics),
+		cacheHits:     reg.Counter("refocus_cache_hits_total", "Result-cache hits across all requests.", nil),
+		cacheMisses:   reg.Counter("refocus_cache_misses_total", "Result-cache misses across all requests.", nil),
+		evaluations:   reg.Counter("refocus_evaluations_total", "Design-point evaluations executed on the worker pool (cache misses that did real work).", nil),
+		shed:          reg.Counter("refocus_shed_total", "Requests rejected with 429 because the bounded queue ahead of the worker pool was full.", nil),
+		chaosInjected: reg.Counter("refocus_chaos_injected_total", "Requests failed on purpose by the opt-in chaos middleware.", nil),
+		chaosSlowed:   reg.Counter("refocus_chaos_slowed_total", "Evaluations delayed on purpose by the opt-in chaos middleware.", nil),
+		streamLines:   reg.Counter("refocus_sweep_stream_lines_total", "Sweep results delivered over the NDJSON streaming lane.", nil),
+		queueWait:     reg.Histogram("refocus_queue_wait_seconds", "Time requests spent waiting for a worker slot.", nil, obs.FineBuckets),
+		cacheLookup:   reg.Histogram("refocus_cache_lookup_seconds", "Time spent probing the result cache per request.", nil, obs.FineBuckets),
+		evaluate:      reg.Histogram("refocus_evaluate_seconds", "Time spent in design-point evaluation per request that reached the worker pool.", nil, obs.DefBuckets),
+		encode:        reg.Histogram("refocus_encode_seconds", "Time spent JSON-encoding responses.", nil, obs.FineBuckets),
 	}
 	reg.Gauge("refocus_in_flight", "Requests currently inside a handler.", nil,
 		func() float64 { return float64(m.inFlight.Load()) })
-	reg.Gauge("refocus_robustness_active_campaigns", "Robustness campaigns currently running.", nil,
-		func() float64 { return float64(m.robustActive.Load()) })
-	reg.Gauge("refocus_optimize_active_searches", "Design-space searches currently running.", nil,
-		func() float64 { return float64(m.optActive.Load()) })
 	reg.Gauge("refocus_cache_entries", "Result-cache entries currently held in memory.", nil,
 		func() float64 { return float64(cache.Len()) })
 	reg.Gauge("refocus_cache_capacity", "Result-cache in-memory capacity in entries.", nil,
@@ -240,18 +220,6 @@ func (m *Metrics) snapshot(cache ResultStore) Snapshot {
 		Shed:          m.shed.Value(),
 		ChaosInjected: m.chaosInjected.Value(),
 		ChaosSlowed:   m.chaosSlowed.Value(),
-		Robustness: RobustnessStats{
-			Campaigns:     m.robustCampaigns.Value(),
-			Active:        m.robustActive.Load(),
-			Trials:        m.robustTrials.Value(),
-			TrialsResumed: m.robustResumed.Value(),
-		},
-		Optimize: OptimizeStats{
-			Searches:      m.optSearches.Value(),
-			Active:        m.optActive.Load(),
-			Points:        m.optPoints.Value(),
-			PointsResumed: m.optResumed.Value(),
-		},
 		Cache: CacheStats{
 			Hits:     m.cacheHits.Value(),
 			Misses:   m.cacheMisses.Value(),

@@ -164,7 +164,7 @@ func TestOptimizeStream(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stream answered %d", resp.StatusCode)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != opt.NDJSONContentType {
+	if ct := resp.Header.Get("Content-Type"); ct != NDJSONContentType {
 		t.Fatalf("stream content type %q", ct)
 	}
 	var last opt.Update

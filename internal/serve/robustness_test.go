@@ -182,7 +182,7 @@ func TestRobustnessStream(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stream answered %d", resp.StatusCode)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != robust.NDJSONContentType {
+	if ct := resp.Header.Get("Content-Type"); ct != NDJSONContentType {
 		t.Fatalf("stream content type %q", ct)
 	}
 	var last robust.Update

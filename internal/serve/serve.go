@@ -30,7 +30,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -39,8 +38,6 @@ import (
 	"refocus/internal/faults"
 	"refocus/internal/nn"
 	"refocus/internal/obs"
-	"refocus/internal/opt"
-	"refocus/internal/robust"
 	"refocus/internal/sim"
 )
 
@@ -133,8 +130,8 @@ type Server struct {
 	chaos    *chaosInjector
 	mux      *http.ServeMux
 	logger   *slog.Logger
-	robust   *robust.Manager
-	opt      *opt.Manager
+	jobs     *Jobs
+	tier     Tier
 	// reqSeq numbers requests; joined with a per-process prefix it
 	// forms the X-Request-ID every response carries and every span and
 	// log line repeats.
@@ -165,69 +162,33 @@ func New(cfg Config) *Server {
 	s.mux.Handle("GET /v1/networks", s.instrument("/v1/networks", s.handleNetworks))
 	s.mux.Handle("GET /healthz", s.instrument("/healthz", s.handleHealthz))
 	s.mux.Handle("GET /metrics", s.instrument("/metrics", s.handleMetrics))
+	s.tier = Tier{MaxBodyBytes: cfg.MaxBodyBytes, WriteJSON: s.writeJSON, StreamLine: s.metrics.streamLines.Inc}
 	var err error
-	s.robust, err = robust.NewManager(robust.ManagerConfig{
-		Dir:         cfg.CampaignDir,
-		Eval:        s.campaignEval,
-		Parallelism: cfg.Workers,
-		Hooks: robust.Hooks{
-			CampaignStarted: func() {
-				s.metrics.robustCampaigns.Inc()
-				s.metrics.robustActive.Add(1)
-			},
-			CampaignDone:  func(error) { s.metrics.robustActive.Add(-1) },
-			TrialExecuted: func(robust.TrialResult) { s.metrics.robustTrials.Inc() },
-			TrialResumed:  func(robust.TrialResult) { s.metrics.robustResumed.Inc() },
-		},
-	})
+	s.jobs, err = NewJobs(s.metrics.reg, cfg.CampaignDir, cfg.OptimizeDir, cfg.Workers, s.evaluateCell)
 	if err != nil {
-		// Only a checkpoint-directory MkdirAll can fail here; campaigns
-		// lose durability but the service still serves.
-		s.logger.Error("robustness campaign dir unavailable; running without durability", "err", err)
-		s.robust, _ = robust.NewManager(robust.ManagerConfig{Eval: s.campaignEval, Parallelism: cfg.Workers})
+		// Only a checkpoint-directory MkdirAll can fail here; jobs lose
+		// durability but the service still serves.
+		s.logger.Error("job checkpoint dir unavailable; running without durability", "err", err)
+		s.jobs, _ = NewJobs(s.metrics.reg, "", "", cfg.Workers, s.evaluateCell)
 	}
-	s.mux.Handle("POST /v1/robustness", s.instrument("/v1/robustness", s.handleRobustnessStart))
-	// The metrics label avoids the path pattern's braces — they collide
-	// with the Prometheus exposition's label syntax.
-	s.mux.Handle("GET /v1/robustness/{id}", s.instrument("/v1/robustness/status", s.handleRobustnessStatus))
-	s.opt, err = opt.NewManager(opt.ManagerConfig{
-		Dir:         cfg.OptimizeDir,
-		Eval:        s.optimizeEval,
-		Parallelism: cfg.Workers,
-		Hooks: opt.Hooks{
-			SearchStarted: func() {
-				s.metrics.optSearches.Inc()
-				s.metrics.optActive.Add(1)
-			},
-			SearchDone:    func(error) { s.metrics.optActive.Add(-1) },
-			PointExecuted: func(opt.CandidateResult) { s.metrics.optPoints.Inc() },
-			PointResumed:  func(opt.CandidateResult) { s.metrics.optResumed.Inc() },
-		},
-	})
-	if err != nil {
-		// Only a checkpoint-directory MkdirAll can fail here; searches
-		// lose durability but the service still serves.
-		s.logger.Error("optimize checkpoint dir unavailable; running without durability", "err", err)
-		s.opt, _ = opt.NewManager(opt.ManagerConfig{Eval: s.optimizeEval, Parallelism: cfg.Workers})
-	}
-	s.mux.Handle("POST /v1/optimize", s.instrument("/v1/optimize", s.handleOptimizeStart))
-	s.mux.Handle("GET /v1/optimize/{id}", s.instrument("/v1/optimize/status", s.handleOptimizeStatus))
+	s.jobs.Mount(s.mux, s.instrument, s.tier)
 	return s
 }
 
 // Close cancels any running robustness campaigns and design-space
 // searches and waits for them to unwind; their checkpoints survive for
 // the next incarnation to resume.
-func (s *Server) Close() {
-	s.robust.Close()
-	s.opt.Close()
-}
+func (s *Server) Close() { s.jobs.Close() }
 
 // Handler returns the service's HTTP handler (all routes).
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // MetricsSnapshot returns the current counters — what GET /metrics serves.
-func (s *Server) MetricsSnapshot() Snapshot { return s.metrics.snapshot(s.cache) }
+func (s *Server) MetricsSnapshot() Snapshot {
+	snap := s.metrics.snapshot(s.cache)
+	snap.Robustness, snap.Optimize = s.jobs.Stats()
+	return snap
+}
 
 // EvaluateRequest names one design point and benchmark set. Exactly one
 // of Preset or Config must be set; Overrides and Network are optional.
@@ -368,12 +329,18 @@ func BadRequest(err error) error {
 }
 
 // StatusOf maps an error to its HTTP status: explicit apiError tags win,
-// context cancellation/timeout becomes 503, oversized bodies 413, and
-// anything else is a 500.
+// then an error status another server answered with (anything in the
+// chain with an HTTPStatus method, such as a shard's error the
+// coordinator relays), context cancellation/timeout becomes 503,
+// oversized bodies 413, and anything else is a 500.
 func StatusOf(err error) int {
 	var ae *apiError
 	if errors.As(err, &ae) {
 		return ae.status
+	}
+	var relayed interface{ HTTPStatus() int }
+	if errors.As(err, &relayed) && relayed.HTTPStatus() >= 400 {
+		return relayed.HTTPStatus()
 	}
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
@@ -397,6 +364,10 @@ func (w *statusWriter) WriteHeader(status int) {
 	w.status = status
 	w.ResponseWriter.WriteHeader(status)
 }
+
+// Unwrap exposes the underlying writer to http.ResponseController, so
+// the NDJSON lanes can flush each line through the middleware.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // requestIDHeader carries the server-assigned request id on every
 // response, so clients can quote it when reporting a failure and logs,
@@ -440,36 +411,6 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	start := time.Now()
 	enc.Encode(v) //nolint:errcheck // a failed write means the client is gone
 	s.metrics.encode.Observe(time.Since(start).Seconds())
-}
-
-// writeError sends the structured error payload for err, honoring any
-// Retry-After hint an apiError carries.
-func (s *Server) writeError(w http.ResponseWriter, err error) {
-	status := StatusOf(err)
-	var ae *apiError
-	if errors.As(err, &ae) && ae.retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(ae.retryAfter))
-	}
-	s.writeJSON(w, status, ErrorResponse{Error: err.Error(), Status: status})
-}
-
-// decodeBody strictly parses the request body into v, enforcing the
-// max-body limit and rejecting unknown fields and trailing garbage.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	data, err := io.ReadAll(body)
-	if err != nil {
-		return fmt.Errorf("serve: reading body: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return BadRequest(fmt.Errorf("serve: parsing request: %w", err))
-	}
-	if dec.More() {
-		return BadRequest(errors.New("serve: parsing request: trailing data after JSON object"))
-	}
-	return nil
 }
 
 // resolveRequestConfig turns a request into a validated design point:
@@ -680,14 +621,36 @@ func (s *Server) evaluatePoint(ctx context.Context, req EvaluateRequest) (Evalua
 	return resp, nil
 }
 
+// evaluateCell is the worker's CellEval: a job cell goes through the
+// ordinary evaluatePoint path (result cache, worker-slot admission; the
+// chaos middleware is bypassed, since cells are internal work, not
+// requests), and a cell the worker pool sheds waits out the Retry-After
+// and tries again.
+func (s *Server) evaluateCell(ctx context.Context, req EvaluateRequest, _ string) ([]arch.Report, error) {
+	for {
+		resp, err := s.evaluatePoint(ctx, req)
+		var ae *apiError
+		if !errors.As(err, &ae) || ae.status != http.StatusTooManyRequests {
+			return resp.Reports, err
+		}
+		t := time.NewTimer(max(time.Duration(ae.retryAfter)*time.Second, time.Second))
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return nil, fmt.Errorf("serve: job cell canceled during backoff: %w", ctx.Err())
+		}
+	}
+}
+
 // handleEvaluate serves POST /v1/evaluate. With ?trace=1 the request
 // runs under a fresh obs.Trace and the response carries the Chrome
 // trace_event JSON of its own evaluation — per-request profiling with
 // no server-side state.
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var req EvaluateRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
-		s.writeError(w, err)
+	if err := s.tier.Decode(w, r, &req); err != nil {
+		s.tier.WriteError(w, err)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
@@ -702,7 +665,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	resp, err := s.evaluatePoint(ctx, req)
 	root.End()
 	if err != nil {
-		s.writeError(w, err)
+		s.tier.WriteError(w, err)
 		return
 	}
 	resp.Trace = tr
@@ -725,12 +688,12 @@ func WantsNDJSON(r *http.Request) bool {
 // kept for legacy clients.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
-		s.writeError(w, err)
+	if err := s.tier.Decode(w, r, &req); err != nil {
+		s.tier.WriteError(w, err)
 		return
 	}
 	if len(req.Points) == 0 {
-		s.writeError(w, BadRequest(errors.New("serve: sweep carries no Points")))
+		s.tier.WriteError(w, BadRequest(errors.New("serve: sweep carries no Points")))
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
@@ -849,7 +812,7 @@ func (s *Server) handleNetworks(w http.ResponseWriter, r *http.Request) {
 	for _, n := range nn.Networks() {
 		hash, err := nn.NetworkHash(n)
 		if err != nil {
-			s.writeError(w, err)
+			s.tier.WriteError(w, err)
 			return
 		}
 		seen := map[nn.LayerKind]bool{}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -146,5 +147,16 @@ func TestSweepBufferedDefaultUnchanged(t *testing.T) {
 	}
 	if len(sr.Points) != 1 || sr.Points[0].Error != "" {
 		t.Errorf("unexpected buffered response: %+v", sr)
+	}
+}
+
+// TestInstrumentedStreamsFlush: the metrics middleware passes flushes
+// through, so an NDJSON line leaves the server as soon as it is written
+// instead of waiting in the response buffer.
+func TestInstrumentedStreamsFlush(t *testing.T) {
+	rec := httptest.NewRecorder()
+	sw := &statusWriter{ResponseWriter: rec, status: http.StatusOK}
+	if err := http.NewResponseController(sw).Flush(); err != nil || !rec.Flushed {
+		t.Errorf("flush through the middleware: err=%v flushed=%v", err, rec.Flushed)
 	}
 }

@@ -35,7 +35,7 @@ func (c *Client) SweepStream(ctx context.Context, req serve.SweepRequest, fn fun
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
-		c.settle(false)
+		c.settle(err)
 		return fmt.Errorf("serveclient: encoding request: %w", err)
 	}
 	c.requests.Add(1)

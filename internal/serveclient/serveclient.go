@@ -24,8 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"refocus/internal/opt"
-	"refocus/internal/robust"
 	"refocus/internal/serve"
 )
 
@@ -33,6 +31,13 @@ import (
 // a call without touching the network: the server failed too many
 // consecutive requests and the cooldown has not elapsed.
 var ErrCircuitOpen = errors.New("serveclient: circuit open")
+
+// ErrShed matches (through errors.Is) every error that ends in a 429:
+// the server shed the request and it stayed shed through the client's
+// retries — and, for a hedged call, on at least one target — or the
+// circuit is open because the request that opened it was shed. Callers
+// holding deferrable work wait and resubmit instead of failing.
+var ErrShed = errors.New("serveclient: shed with 429")
 
 // Config tunes the client. Only BaseURL is required; New defaults the
 // rest to values suited to a local refocus-serve.
@@ -88,8 +93,9 @@ func (c Config) withDefaults() Config {
 }
 
 // StatusError is a non-retryable HTTP failure: the server answered with
-// a status the client must not paper over (4xx other than 429), carrying
-// the serve.ErrorResponse message when one was sent.
+// a status the client must not paper over (4xx other than 429, or a 429
+// on the single-attempt streaming lane), carrying the
+// serve.ErrorResponse message when one was sent.
 type StatusError struct {
 	// Status is the HTTP status code; Message the server's error text.
 	Status  int
@@ -106,6 +112,15 @@ func (e *StatusError) Error() string {
 		return fmt.Sprintf("serveclient: server answered %d (request %s): %s", e.Status, e.RequestID, e.Message)
 	}
 	return fmt.Sprintf("serveclient: server answered %d: %s", e.Status, e.Message)
+}
+
+// HTTPStatus is the status the server answered with, which a
+// coordinator relaying the error answers with too (serve.StatusOf).
+func (e *StatusError) HTTPStatus() int { return e.Status }
+
+// Is reports a 429 as ErrShed.
+func (e *StatusError) Is(target error) bool {
+	return target == ErrShed && e.Status == http.StatusTooManyRequests
 }
 
 // Stats are the client's cumulative counters — the observable record of
@@ -132,6 +147,9 @@ type breaker struct {
 	failures  int
 	openUntil time.Time
 	probing   bool
+	// shed reports that the last failure was a shed (ErrShed), which a
+	// rejection while open passes on.
+	shed bool
 }
 
 // Client talks to one refocus-serve instance. Create with New; it is
@@ -202,38 +220,19 @@ func (c *Client) Metrics(ctx context.Context) (serve.Snapshot, error) {
 	return resp, err
 }
 
-// RobustnessStart calls POST /v1/robustness: start a campaign (or
-// attach to / resume the one with the same identity) and return its
-// status snapshot. Campaigns run server-side; poll RobustnessStatus
-// with the returned ID until the status leaves "running".
-func (c *Client) RobustnessStart(ctx context.Context, spec robust.Spec) (robust.StatusResponse, error) {
-	var resp robust.StatusResponse
-	err := c.call(ctx, http.MethodPost, "/v1/robustness", spec, &resp)
-	return resp, err
+// StartJob calls POST path — /v1/robustness or /v1/optimize — to
+// start a job for spec (or attach to / resume the one with the same
+// identity) and decodes its status snapshot into status. Jobs run
+// server-side; poll JobStatus with the status's ID until it leaves
+// "running".
+func (c *Client) StartJob(ctx context.Context, path string, spec, status any) error {
+	return c.call(ctx, http.MethodPost, path, spec, status)
 }
 
-// RobustnessStatus calls GET /v1/robustness/{id}.
-func (c *Client) RobustnessStatus(ctx context.Context, id string) (robust.StatusResponse, error) {
-	var resp robust.StatusResponse
-	err := c.call(ctx, http.MethodGet, "/v1/robustness/"+url.PathEscape(id), nil, &resp)
-	return resp, err
-}
-
-// OptimizeStart calls POST /v1/optimize: start a design-space search
-// (or attach to / resume the one with the same identity) and return its
-// status snapshot. Searches run server-side; poll OptimizeStatus with
-// the returned ID until the status leaves "running".
-func (c *Client) OptimizeStart(ctx context.Context, spec opt.Spec) (opt.StatusResponse, error) {
-	var resp opt.StatusResponse
-	err := c.call(ctx, http.MethodPost, "/v1/optimize", spec, &resp)
-	return resp, err
-}
-
-// OptimizeStatus calls GET /v1/optimize/{id}.
-func (c *Client) OptimizeStatus(ctx context.Context, id string) (opt.StatusResponse, error) {
-	var resp opt.StatusResponse
-	err := c.call(ctx, http.MethodGet, "/v1/optimize/"+url.PathEscape(id), nil, &resp)
-	return resp, err
+// JobStatus calls GET path/{id} and decodes the job's status into
+// status.
+func (c *Client) JobStatus(ctx context.Context, path, id string, status any) error {
+	return c.call(ctx, http.MethodGet, path+"/"+url.PathEscape(id), nil, status)
 }
 
 // call runs one logical request through the breaker and retry loop,
@@ -246,7 +245,7 @@ func (c *Client) call(ctx context.Context, method, path string, in, out any) err
 	if in != nil {
 		var err error
 		if body, err = json.Marshal(in); err != nil {
-			c.settle(false)
+			c.settle(err)
 			return fmt.Errorf("serveclient: encoding request: %w", err)
 		}
 	}
@@ -271,7 +270,11 @@ func (c *Client) admit() error {
 	}
 	if time.Now().Before(c.brk.openUntil) || c.brk.probing {
 		c.brkRejects.Add(1)
-		return fmt.Errorf("%w (cooling down after %d consecutive failures)", ErrCircuitOpen, c.brk.failures)
+		err := fmt.Errorf("%w (cooling down after %d consecutive failures)", ErrCircuitOpen, c.brk.failures)
+		if c.brk.shed {
+			err = fmt.Errorf("%w: last failure %w", err, ErrShed)
+		}
+		return err
 	}
 	c.brk.probing = true // half-open: this call is the probe
 	return nil
@@ -283,14 +286,11 @@ func (c *Client) admit() error {
 // matters under hedging: when a fast shard wins, the canceled loser must
 // not push its (perfectly healthy) shard's breaker toward open.
 func (c *Client) settleOutcome(ctx context.Context, err error) {
-	switch {
-	case err == nil:
-		c.settle(true)
-	case ctx.Err() != nil:
+	if err != nil && ctx.Err() != nil {
 		c.settleAbandoned()
-	default:
-		c.settle(false)
+		return
 	}
+	c.settle(err)
 }
 
 // settleAbandoned clears a half-open probe without recording an outcome.
@@ -300,12 +300,14 @@ func (c *Client) settleAbandoned() {
 	c.brk.probing = false
 }
 
-// settle records a whole request's final outcome in the breaker.
-func (c *Client) settle(ok bool) {
+// settle records a whole request's final outcome (nil for success) in
+// the breaker.
+func (c *Client) settle(err error) {
 	c.brk.mu.Lock()
 	defer c.brk.mu.Unlock()
 	c.brk.probing = false
-	if ok {
+	c.brk.shed = errors.Is(err, ErrShed)
+	if err == nil {
 		c.brk.failures = 0
 		c.brk.openUntil = time.Time{}
 		return
@@ -381,7 +383,7 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte) (
 	switch resp.StatusCode {
 	case http.StatusTooManyRequests:
 		c.shed.Add(1)
-		return nil, retryAfter, fmt.Errorf("serveclient: shed with 429 (request %s): %s", reqID, msg)
+		return nil, retryAfter, fmt.Errorf("%w (request %s): %s", ErrShed, reqID, msg)
 	case http.StatusInternalServerError, http.StatusBadGateway,
 		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
 		return nil, retryAfter, fmt.Errorf("serveclient: transient %d (request %s): %s", resp.StatusCode, reqID, msg)

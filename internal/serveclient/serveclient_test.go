@@ -324,42 +324,48 @@ func TestNetworksAgainstRealServer(t *testing.T) {
 	}
 }
 
-// TestOptimizeAndRobustnessRoundTrip drives the campaign/search client
-// methods against a real worker: start, poll by ID, and confirm the
-// terminal statuses come back decoded.
+// TestOptimizeAndRobustnessRoundTrip drives the job client methods
+// against a real worker for both kinds: start, poll by ID, and confirm
+// the terminal statuses come back decoded.
 func TestOptimizeAndRobustnessRoundTrip(t *testing.T) {
 	s := serve.New(serve.Config{})
 	t.Cleanup(s.Close)
 	c, _ := testClient(t, s.Handler(), nil)
 	ctx := context.Background()
 
-	ost, err := c.OptimizeStart(ctx, opt.Spec{
+	var ost opt.StatusResponse
+	err := c.StartJob(ctx, "/v1/optimize", opt.Spec{
 		Preset: "fb", Network: "AlexNet", Strategy: "random",
 		Generations: 2, Population: 4, Seed: 7,
-	})
+	}, &ost)
 	if err != nil {
-		t.Fatalf("OptimizeStart: %v", err)
+		t.Fatalf("StartJob(optimize): %v", err)
 	}
 	for ost.Status == opt.StatusRunning {
 		time.Sleep(10 * time.Millisecond)
-		if ost, err = c.OptimizeStatus(ctx, ost.ID); err != nil {
-			t.Fatalf("OptimizeStatus: %v", err)
+		id := ost.ID
+		ost = opt.StatusResponse{}
+		if err := c.JobStatus(ctx, "/v1/optimize", id, &ost); err != nil {
+			t.Fatalf("JobStatus(optimize): %v", err)
 		}
 	}
 	if ost.Status != opt.StatusDone || len(ost.Front) == 0 {
 		t.Errorf("search ended %q with %d front points", ost.Status, len(ost.Front))
 	}
 
-	rst, err := c.RobustnessStart(ctx, robust.Spec{
+	var rst robust.StatusResponse
+	err = c.StartJob(ctx, "/v1/robustness", robust.Spec{
 		Preset: "fb", Network: "AlexNet", Severities: []float64{0}, Trials: 2, Seed: 7,
-	})
+	}, &rst)
 	if err != nil {
-		t.Fatalf("RobustnessStart: %v", err)
+		t.Fatalf("StartJob(robustness): %v", err)
 	}
 	for rst.Status == robust.StatusRunning {
 		time.Sleep(10 * time.Millisecond)
-		if rst, err = c.RobustnessStatus(ctx, rst.ID); err != nil {
-			t.Fatalf("RobustnessStatus: %v", err)
+		id := rst.ID
+		rst = robust.StatusResponse{}
+		if err := c.JobStatus(ctx, "/v1/robustness", id, &rst); err != nil {
+			t.Fatalf("JobStatus(robustness): %v", err)
 		}
 	}
 	if rst.Status != robust.StatusDone || len(rst.Frontier) == 0 {
