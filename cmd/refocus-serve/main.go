@@ -52,10 +52,12 @@
 // shard mid-sweep loses no results. -trace-file writes the
 // coordinator's dispatch spans as Chrome trace_event JSON on shutdown.
 //
-// Observability: every worker response carries an X-Request-ID that also
-// tags the structured request log on stderr (-log-level picks the slog
-// threshold; "off" silences it); GET /metrics?format=prometheus serves
-// the scrape-ready exposition next to the historical JSON; POST
+// Both roles serve one HTTP front (serve.Tier), so the shared routes,
+// middleware and metrics families behave alike. Observability: every
+// response, on either role, carries an X-Request-ID that also tags the
+// structured request log on stderr (-log-level picks the slog threshold;
+// "off" silences it); GET /metrics?format=prometheus serves the
+// scrape-ready exposition next to the historical JSON; POST
 // /v1/evaluate?trace=1 returns a per-request Chrome trace; and
 // -pprof-addr exposes net/http/pprof on a separate, opt-in listener.
 //
@@ -162,6 +164,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	limits := serve.SpecLimits{MaxLayers: *maxSpecLayers, MaxGMACs: *maxSpecGMACs}
 
+	// Both roles mount the same serve.Tier front, so one listen/drain
+	// loop serves either.
+	var tier interface {
+		ListenAndServe(ctx context.Context, addr string, out io.Writer) error
+		Close()
+	}
+	var tr *obs.Trace
 	switch *role {
 	case "worker":
 		cfg := serve.Config{
@@ -188,14 +197,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			cfg.CampaignDir = filepath.Join(*cacheDir, "robustness")
 			cfg.OptimizeDir = filepath.Join(*cacheDir, "optimize")
 		}
-		return serve.ListenAndServe(ctx, cfg, *addr, out)
+		tier = serve.New(cfg)
 
 	case "coordinator":
 		shardList := splitShards(*shards)
 		if len(shardList) == 0 {
 			return fmt.Errorf("refocus-serve: -role coordinator needs -shards URL,URL,...")
 		}
-		var tr *obs.Trace
 		if *traceFile != "" {
 			tr = obs.NewTrace()
 		}
@@ -220,26 +228,32 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			cfg.CampaignDir = filepath.Join(*cacheDir, "robustness")
 			cfg.OptimizeDir = filepath.Join(*cacheDir, "optimize")
 		}
-		serveErr := cluster.ListenAndServe(ctx, cfg, *addr, out)
-		if tr != nil {
-			f, err := os.Create(*traceFile)
-			if err != nil {
-				return fmt.Errorf("refocus-serve: trace file: %w", err)
-			}
-			if err := tr.WriteJSON(f); err != nil {
-				f.Close()
-				return fmt.Errorf("refocus-serve: writing trace: %w", err)
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "coordinator trace written to %s\n", *traceFile)
+		c, err := cluster.New(cfg)
+		if err != nil {
+			return err
 		}
-		return serveErr
+		tier = c
 
 	default:
 		return fmt.Errorf("refocus-serve: unknown -role %q (worker|coordinator)", *role)
 	}
+	serveErr := tier.ListenAndServe(ctx, *addr, out)
+	tier.Close()
+	if tr != nil {
+		f, err := os.Create(*traceFile)
+		if err != nil {
+			return fmt.Errorf("refocus-serve: trace file: %w", err)
+		}
+		if err := tr.WriteJSON(f); err != nil {
+			f.Close()
+			return fmt.Errorf("refocus-serve: writing trace: %w", err)
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "coordinator trace written to %s\n", *traceFile)
+	}
+	return serveErr
 }
 
 func main() {

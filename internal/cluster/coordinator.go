@@ -2,17 +2,12 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
-	"strconv"
 	"time"
 
-	"refocus/internal/arch"
 	"refocus/internal/obs"
 	"refocus/internal/serve"
 	"refocus/internal/serveclient"
@@ -58,13 +53,15 @@ type Config struct {
 	OptimizeDir string
 	// Client is the template for the per-shard serveclient configuration
 	// (BaseURL is overwritten per shard). The zero value gets defaults
-	// tuned for fast failover: 1 retry, breaker threshold 2.
+	// tuned for fast failover: 1 retry, breaker threshold 2, and one
+	// HTTPClient whose connection pool all shard clients share.
 	Client serveclient.Config
 	// Limits are the inline-spec resource limits enforced at the edge —
 	// rejecting an oversized spec here costs no shard round trip. Zero
 	// fields get the serve package defaults.
 	Limits serve.SpecLimits
-	// Logger receives one line per dispatched point; nil silences it.
+	// Logger receives one line per request and per dispatched point; nil
+	// silences it.
 	Logger *slog.Logger
 	// Trace, when non-nil, collects one span per dispatched point with
 	// its route and outcome — the coordinator-side flight recorder the CI
@@ -101,6 +98,19 @@ func (c Config) withDefaults() Config {
 	if c.Client.BreakerThreshold == 0 {
 		c.Client.BreakerThreshold = 2
 	}
+	if c.Client.HTTPClient == nil {
+		// One connection pool for every shard client, deep enough that
+		// each dispatch a shard can see at once (ShardConcurrency per
+		// primary, hedged onto by up to Attempts predecessors) reuses a
+		// kept-alive connection instead of dialing and dropping one. The
+		// same bound caps the connections per shard, so a dial racing a
+		// connection's return cannot leave a spare one behind.
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = c.ShardConcurrency * c.Attempts
+		tr.MaxConnsPerHost = tr.MaxIdleConnsPerHost
+		tr.MaxIdleConns = tr.MaxIdleConnsPerHost * len(c.Shards)
+		c.Client.HTTPClient = &http.Client{Transport: tr, Timeout: 30 * time.Second}
+	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1}))
 	}
@@ -109,22 +119,20 @@ func (c Config) withDefaults() Config {
 }
 
 // Coordinator fronts a set of worker shards with the single-node serve
-// API: POST /v1/evaluate and /v1/sweep (buffered and NDJSON lanes),
-// GET /healthz and /metrics. Each request routes by serve.RouteKey on
-// the consistent-hash ring, dispatches through the per-shard serveclient
-// (retries, breaker) with hedging onto ring successors, and — because
-// shards key their caches by the same identity — turns cluster-wide
-// repeats into cache hits on whichever shard owns them.
+// API, mounted through the same serve.Tier front the worker uses. Each
+// point routes by serve.RouteKey on the consistent-hash ring, dispatches
+// through the per-shard serveclient (retries, breaker) with hedging onto
+// ring successors, and — because shards key their caches by the same
+// identity — turns cluster-wide repeats into cache hits on whichever
+// shard owns them.
 type Coordinator struct {
+	*serve.Tier
 	cfg     Config
 	ring    *Ring
 	clients map[string]*serveclient.Client
 	sems    map[string]chan struct{}
 	metrics *Metrics
-	mux     *http.ServeMux
-	logger  *slog.Logger
 	jobs    *serve.Jobs
-	tier    serve.Tier
 }
 
 // New builds a Coordinator and its per-shard clients.
@@ -140,8 +148,6 @@ func New(cfg Config) (*Coordinator, error) {
 		clients: make(map[string]*serveclient.Client, len(cfg.Shards)),
 		sems:    make(map[string]chan struct{}, len(cfg.Shards)),
 		metrics: newClusterMetrics(cfg.Shards),
-		mux:     http.NewServeMux(),
-		logger:  cfg.Logger,
 	}
 	for _, s := range cfg.Shards {
 		ccfg := cfg.Client
@@ -153,75 +159,58 @@ func New(cfg Config) (*Coordinator, error) {
 		c.clients[s] = cl
 		c.sems[s] = make(chan struct{}, cfg.ShardConcurrency)
 	}
-	c.tier = serve.Tier{MaxBodyBytes: cfg.MaxBodyBytes, WriteJSON: c.writeJSON, StreamLine: c.metrics.stream.Inc}
+	c.Tier = serve.NewTier(serve.TierConfig{
+		Point:         c.dispatch,
+		Shed:          serveclient.ErrShed,
+		Timeout:       cfg.SweepTimeout,
+		MaxBodyBytes:  cfg.MaxBodyBytes,
+		Metrics:       c.metrics.reg,
+		InFlightGauge: "refocus_cluster_in_flight",
+		StreamCounter: "refocus_cluster_stream_lines_total",
+		Snapshot:      func() any { return c.MetricsSnapshot() },
+		Health:        HealthResponse{Status: "ok", Shards: len(cfg.Shards)},
+		Logger:        cfg.Logger,
+	})
 	// Job cells fan out across the whole cluster, so the per-job bound
 	// scales with the fleet rather than one worker's pool.
-	c.jobs, err = serve.NewJobs(c.metrics.reg, cfg.CampaignDir, cfg.OptimizeDir, cfg.ShardConcurrency*len(cfg.Shards), c.dispatchCell)
+	c.jobs, err = serve.NewJobs(c.Tier, cfg.CampaignDir, cfg.OptimizeDir, cfg.ShardConcurrency*len(cfg.Shards))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	c.mux.Handle("POST /v1/evaluate", c.instrument("/v1/evaluate", c.handleEvaluate))
-	c.mux.Handle("POST /v1/sweep", c.instrument("/v1/sweep", c.handleSweep))
-	c.jobs.Mount(c.mux, c.instrument, c.tier)
-	c.mux.Handle("GET /healthz", c.instrument("/healthz", c.handleHealthz))
-	c.mux.Handle("GET /metrics", c.instrument("/metrics", c.handleMetrics))
 	return c, nil
 }
 
 // Close cancels any running robustness campaigns and design-space
-// searches and waits for them to unwind; their checkpoints survive for
-// the next incarnation to resume.
-func (c *Coordinator) Close() { c.jobs.Close() }
-
-// Handler returns the coordinator's HTTP handler (all routes).
-func (c *Coordinator) Handler() http.Handler { return c.mux }
-
-// Ring exposes the placement ring (read-only) for tests and tooling.
-func (c *Coordinator) Ring() *Ring { return c.ring }
+// searches and waits for them to unwind (their checkpoints survive for
+// the next incarnation to resume), then drops the idle shard
+// connections.
+func (c *Coordinator) Close() {
+	c.jobs.Close()
+	c.cfg.Client.HTTPClient.CloseIdleConnections()
+}
 
 // MetricsSnapshot returns the current counters — what GET /metrics serves.
 func (c *Coordinator) MetricsSnapshot() Snapshot {
 	snap := c.metrics.snapshot()
+	snap.InFlight, snap.StreamLines = c.InFlight(), c.StreamLines()
 	snap.Robustness, snap.Optimize = c.jobs.Stats()
 	return snap
 }
 
-// instrument tracks in-flight requests. The coordinator keeps no
-// per-route metrics, so the route label is unused.
-func (c *Coordinator) instrument(_ string, h http.HandlerFunc) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		c.metrics.inFlight.Add(1)
-		defer c.metrics.inFlight.Add(-1)
-		h(w, r)
-	})
-}
-
-// writeJSON sends v with the given status.
-func (c *Coordinator) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // a failed write means the client is gone
-}
-
 // dispatch places one evaluate request on the ring and runs it through
 // the hedged client chain: the owning shard first, then ring successors
-// on failure or hedge expiry. The returned shard is the winner's base
-// URL.
-func (c *Coordinator) dispatch(ctx context.Context, req serve.EvaluateRequest) (serve.EvaluateResponse, string, error) {
-	key, err := serve.RouteKey(req, c.cfg.Limits)
-	if err != nil {
-		return serve.EvaluateResponse{}, "", err
+// on failure or hedge expiry. An empty key places the request by
+// serve.RouteKey; job cells supply their own (robustness campaigns
+// route each trial by its trial seed), so a fixed cell always lands on
+// the same shard regardless of which process (or incarnation)
+// dispatches it.
+func (c *Coordinator) dispatch(ctx context.Context, req serve.EvaluateRequest, key string) (serve.EvaluateResponse, error) {
+	if key == "" {
+		var err error
+		if key, err = serve.RouteKey(req, c.cfg.Limits); err != nil {
+			return serve.EvaluateResponse{}, err
+		}
 	}
-	return c.dispatchKeyed(ctx, req, key)
-}
-
-// dispatchKeyed is dispatch with the placement key supplied by the
-// caller — robustness campaigns route each trial by its trial seed, so
-// a fixed trial always lands on the same shard regardless of which
-// process (or incarnation) dispatches it.
-func (c *Coordinator) dispatchKeyed(ctx context.Context, req serve.EvaluateRequest, key string) (serve.EvaluateResponse, string, error) {
 	targets := c.ring.Successors(key, c.cfg.Attempts)
 	primary := targets[0]
 	clients := make([]*serveclient.Client, len(targets))
@@ -237,21 +226,21 @@ func (c *Coordinator) dispatchKeyed(ctx context.Context, req serve.EvaluateReque
 	case <-ctx.Done():
 		span.SetAttr("outcome", "canceled")
 		span.End()
-		return serve.EvaluateResponse{}, "", fmt.Errorf("cluster: waiting for shard slot: %w", ctx.Err())
+		return serve.EvaluateResponse{}, fmt.Errorf("cluster: waiting for shard slot: %w", ctx.Err())
 	}
 	defer func() { <-sem }()
 
 	c.metrics.points.Inc()
-	sm := c.metrics.shard(primary)
+	sm := c.metrics.perShard[primary]
 	sm.routed.Inc()
 	res, err := serveclient.EvaluateHedged(ctx, clients, c.cfg.HedgeDelay, req)
 	if err != nil {
 		c.metrics.pointErrs.Inc()
 		span.SetAttr("outcome", "failed")
 		span.End()
-		c.logger.LogAttrs(ctx, slog.LevelWarn, "point failed",
+		c.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "point failed",
 			slog.String("shard", primary), slog.String("error", err.Error()))
-		return serve.EvaluateResponse{}, "", err
+		return serve.EvaluateResponse{}, err
 	}
 	if res.Hedged {
 		sm.hedges.Inc()
@@ -263,109 +252,10 @@ func (c *Coordinator) dispatchKeyed(ctx context.Context, req serve.EvaluateReque
 	span.SetAttr("winner", winner)
 	span.SetAttr("attempts", res.Attempts)
 	span.End()
-	c.logger.LogAttrs(ctx, slog.LevelDebug, "point served",
+	c.cfg.Logger.LogAttrs(ctx, slog.LevelDebug, "point served",
 		slog.String("shard", primary), slog.String("winner", winner),
 		slog.Int("attempts", res.Attempts))
-	return res.Resp, winner, nil
-}
-
-// handleEvaluate serves POST /v1/evaluate by proxying to the owning
-// shard (with failover).
-func (c *Coordinator) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	var req serve.EvaluateRequest
-	if err := c.tier.Decode(w, r, &req); err != nil {
-		c.tier.WriteError(w, err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.SweepTimeout)
-	defer cancel()
-	resp, _, err := c.dispatch(ctx, req)
-	if err != nil {
-		c.tier.WriteError(w, err)
-		return
-	}
-	c.writeJSON(w, http.StatusOK, resp)
-}
-
-// handleSweep serves POST /v1/sweep: points scatter across the ring
-// concurrently (per-shard concurrency bounded) and gather either into
-// the buffered SweepResponse or, with Accept: application/x-ndjson, onto
-// the streaming lane — the same wire contract the single-node service
-// speaks, so clients cannot tell a coordinator from a worker.
-func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req serve.SweepRequest
-	if err := c.tier.Decode(w, r, &req); err != nil {
-		c.tier.WriteError(w, err)
-		return
-	}
-	if len(req.Points) == 0 {
-		c.tier.WriteError(w, serve.BadRequest(errors.New("cluster: sweep carries no Points")))
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.SweepTimeout)
-	defer cancel()
-
-	lines := make(chan serve.SweepStreamLine, len(req.Points))
-	for i := range req.Points {
-		go func(i int) {
-			line := serve.SweepStreamLine{Index: i}
-			resp, _, err := c.dispatch(ctx, req.Points[i])
-			if err != nil {
-				line.Error = err.Error()
-			} else {
-				line.EvaluateResponse = resp
-			}
-			lines <- line
-		}(i)
-	}
-
-	if serve.WantsNDJSON(r) {
-		c.streamSweep(w, len(req.Points), lines)
-		return
-	}
-	resp := serve.SweepResponse{Points: make([]serve.SweepPointResult, len(req.Points))}
-	for range req.Points {
-		line := <-lines
-		resp.Points[line.Index] = line.SweepPointResult
-	}
-	c.writeJSON(w, http.StatusOK, resp)
-}
-
-// streamSweep writes the NDJSON lane, one flushed line per completed
-// point.
-func (c *Coordinator) streamSweep(w http.ResponseWriter, n int, lines <-chan serve.SweepStreamLine) {
-	w.Header().Set("Content-Type", serve.NDJSONContentType)
-	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
-	for i := 0; i < n; i++ {
-		line := <-lines
-		if err := enc.Encode(line); err != nil {
-			return
-		}
-		c.metrics.stream.Inc()
-		rc.Flush() //nolint:errcheck // an unflushable writer just buffers
-	}
-}
-
-// dispatchCell is the coordinator's serve.CellEval: a job cell is
-// dispatched onto the ring by its route key, riding the same hedged
-// client chain (retries, breaker, dead-shard failover) ordinary points
-// use. A cell the whole chain sheds waits a second and redispatches.
-func (c *Coordinator) dispatchCell(ctx context.Context, req serve.EvaluateRequest, routeKey string) ([]arch.Report, error) {
-	for {
-		resp, _, err := c.dispatchKeyed(ctx, req, routeKey)
-		if !errors.Is(err, serveclient.ErrShed) {
-			return resp.Reports, err
-		}
-		t := time.NewTimer(time.Second)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return nil, fmt.Errorf("cluster: job cell canceled during backoff: %w", ctx.Err())
-		}
-	}
+	return res.Resp, nil
 }
 
 // HealthResponse is the coordinator's /healthz payload.
@@ -375,56 +265,4 @@ type HealthResponse struct {
 	Status string
 	// Shards is the ring member count.
 	Shards int
-}
-
-// handleHealthz serves GET /healthz.
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	c.writeJSON(w, http.StatusOK, HealthResponse{Status: "ok", Shards: len(c.cfg.Shards)})
-}
-
-// handleMetrics serves GET /metrics: JSON by default, Prometheus text
-// with ?format=prometheus — mirroring the worker tier.
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		c.metrics.writePrometheus(w) //nolint:errcheck // a failed write means the scraper is gone
-		return
-	}
-	c.writeJSON(w, http.StatusOK, c.MetricsSnapshot())
-}
-
-// ListenAndServe runs the coordinator on addr until ctx is canceled,
-// then drains in-flight requests — the same lifecycle contract as
-// serve.ListenAndServe. It announces the bound address on out, so addr
-// may use port 0 in tests.
-func ListenAndServe(ctx context.Context, cfg Config, addr string, out io.Writer) error {
-	c, err := New(cfg)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("cluster: %w", err)
-	}
-	fmt.Fprintf(out, "refocus-serve coordinating %s shards on http://%s\n",
-		strconv.Itoa(len(cfg.Shards)), ln.Addr())
-	hs := &http.Server{
-		Handler:           c.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return fmt.Errorf("cluster: %w", err)
-	case <-ctx.Done():
-		drain, cancel := context.WithTimeout(context.Background(), c.cfg.SweepTimeout+time.Second)
-		defer cancel()
-		if err := hs.Shutdown(drain); err != nil {
-			return fmt.Errorf("cluster: shutdown: %w", err)
-		}
-		fmt.Fprintln(out, "refocus-serve coordinator drained and stopped")
-		return nil
-	}
 }

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -193,6 +195,39 @@ func TestCoordinatorStreamedSweep(t *testing.T) {
 	}
 }
 
+// TestCoordinatorReusesShardConnections: a default coordinator keeps its
+// shard connections alive across sweeps, so a shard accepts no more
+// connections than the dispatches it can see at once (ShardConcurrency,
+// default 8) instead of one per point.
+func TestCoordinatorReusesShardConnections(t *testing.T) {
+	shard := serve.New(serve.Config{})
+	t.Cleanup(shard.Close)
+	var accepted atomic.Int64
+	ts := httptest.NewUnstartedServer(shard.Handler())
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			accepted.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	coord, err := New(Config{Shards: []string{ts.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	cts := httptest.NewServer(coord.Handler())
+	t.Cleanup(cts.Close)
+	for i := 0; i < 5; i++ {
+		if status, body := postJSON(t, cts.URL+"/v1/sweep", sweepBody(64)); status != http.StatusOK {
+			t.Fatalf("sweep %d: %d %s", i, status, body)
+		}
+	}
+	if n := accepted.Load(); n > 8 {
+		t.Errorf("shard accepted %d connections over 5 sweeps of 64 points, want <= 8", n)
+	}
+}
+
 // TestCoordinatorPlacementCacheAffinity: the same request twice lands on
 // the same shard, so the repeat is that shard's cache hit — no shard
 // evaluates it twice, cluster-wide.
@@ -285,23 +320,45 @@ func TestCoordinatorObservability(t *testing.T) {
 	}
 }
 
-// TestTrailingDataRejectedOnBothTiers: the worker and the coordinator
-// decode request bodies with the same strict decoder, so a valid JSON
-// object followed by trailing data is a 400 on every POST endpoint of
-// both tiers.
+// TestTrailingDataRejectedOnBothTiers: the worker and the coordinator in
+// front of it mount one HTTP front, so they keep one contract: a valid
+// JSON object followed by trailing data is a 400 on every POST endpoint,
+// an empty sweep is a 400, a body over the tier's cap is a 413, and every
+// response, errors included, carries an X-Request-ID.
 func TestTrailingDataRejectedOnBothTiers(t *testing.T) {
 	_, coordURL, _, shards := testCluster(t, 1, nil)
-	bodies := map[string]string{
-		"/v1/evaluate":   `{"Preset": "fb", "Network": "ResNet-18"}`,
-		"/v1/sweep":      `{"Points": [{"Preset": "fb", "Network": "ResNet-18"}]}`,
-		"/v1/robustness": `{"Preset": "fb", "Network": "ResNet-18"}`,
-		"/v1/optimize":   `{"Preset": "fb", "Network": "ResNet-18"}`,
+	type exchange struct {
+		name, path, body string
+		status           int
 	}
-	for tier, url := range map[string]string{"worker": shards[0].URL, "coordinator": coordURL} {
-		for path, body := range bodies {
-			status, resp := postJSON(t, url+path, body+" trailing-garbage")
-			if status != http.StatusBadRequest {
-				t.Errorf("%s %s: trailing data answered %d, want 400: %s", tier, path, status, resp)
+	var cases []exchange
+	for _, path := range []string{"/v1/evaluate", "/v1/robustness", "/v1/optimize"} {
+		cases = append(cases, exchange{"trailing data", path, `{"Preset": "fb", "Network": "ResNet-18"} trailing-garbage`, http.StatusBadRequest})
+	}
+	cases = append(cases,
+		exchange{"trailing data", "/v1/sweep", `{"Points": [{"Preset": "fb", "Network": "ResNet-18"}]} trailing-garbage`, http.StatusBadRequest},
+		exchange{"empty sweep", "/v1/sweep", `{"Points": []}`, http.StatusBadRequest})
+	tiers := []struct {
+		name, url string
+		limit     int // the tier's default body cap
+	}{
+		{"worker", shards[0].URL, 1 << 20},
+		{"coordinator", coordURL, 8 << 20},
+	}
+	for _, tier := range tiers {
+		oversized := `{"Preset": "fb", "Network": "` + strings.Repeat("x", tier.limit) + `"}`
+		for _, tc := range append(cases, exchange{"body over the cap", "/v1/evaluate", oversized, http.StatusRequestEntityTooLarge}) {
+			resp, err := http.Post(tier.url+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.status {
+				t.Errorf("%s %s, %s: answered %d, want %d: %s", tier.name, tc.path, tc.name, resp.StatusCode, tc.status, body)
+			}
+			if resp.Header.Get("X-Request-ID") == "" {
+				t.Errorf("%s %s, %s: response carries no X-Request-ID", tier.name, tc.path, tc.name)
 			}
 		}
 	}

@@ -1,10 +1,6 @@
 package cluster
 
 import (
-	"io"
-	"sync"
-	"sync/atomic"
-
 	"refocus/internal/obs"
 	"refocus/internal/serve"
 )
@@ -12,16 +8,16 @@ import (
 // Metrics aggregates the coordinator's counters on an obs.Registry,
 // serving the same two views the worker tier does: a JSON snapshot for
 // dashboards and the CI gates, and the Prometheus text exposition for
-// scrapers. Per-shard routing counters ride the "shard" label.
+// scrapers. Per-shard routing counters ride the "shard" label; the
+// front (serve.Tier) adds the request families, the in-flight gauge and
+// the stream-line counter.
 type Metrics struct {
 	reg *obs.Registry
 
-	mu        sync.Mutex
+	// perShard has one row per ring member, fixed at New.
 	perShard  map[string]*shardMetrics
-	inFlight  atomic.Int64
 	points    *obs.Counter
 	pointErrs *obs.Counter
-	stream    *obs.Counter
 }
 
 // shardMetrics is one shard's routing counters.
@@ -41,10 +37,7 @@ func newClusterMetrics(shards []string) *Metrics {
 		perShard:  make(map[string]*shardMetrics, len(shards)),
 		points:    reg.Counter("refocus_cluster_points_total", "Evaluate requests dispatched by the coordinator (sweep points and single evaluates).", nil),
 		pointErrs: reg.Counter("refocus_cluster_point_errors_total", "Dispatched points that failed on every ring successor (client-visible losses).", nil),
-		stream:    reg.Counter("refocus_cluster_stream_lines_total", "Sweep results delivered over the coordinator's NDJSON streaming lane.", nil),
 	}
-	reg.Gauge("refocus_cluster_in_flight", "Requests currently inside a coordinator handler.", nil,
-		func() float64 { return float64(m.inFlight.Load()) })
 	for _, s := range shards {
 		labels := obs.Labels{"shard": s}
 		m.perShard[s] = &shardMetrics{
@@ -54,29 +47,6 @@ func newClusterMetrics(shards []string) *Metrics {
 		}
 	}
 	return m
-}
-
-// shard returns the counters for one shard name (it must be a ring
-// member; unknown names get a fresh unregistered row rather than a panic).
-func (m *Metrics) shard(name string) *shardMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	sm, ok := m.perShard[name]
-	if !ok {
-		labels := obs.Labels{"shard": name}
-		sm = &shardMetrics{
-			routed:    m.reg.Counter("refocus_cluster_routed_total", "Points whose ring placement chose this shard as primary.", labels),
-			hedges:    m.reg.Counter("refocus_cluster_hedges_total", "Hedged dispatches launched past this primary shard (slow or failed first attempt).", labels),
-			failovers: m.reg.Counter("refocus_cluster_failovers_total", "Points won by a ring successor after this primary shard failed or stalled.", labels),
-		}
-		m.perShard[name] = sm
-	}
-	return sm
-}
-
-// writePrometheus renders the text exposition.
-func (m *Metrics) writePrometheus(w io.Writer) error {
-	return m.reg.WritePrometheus(w)
 }
 
 // ShardStats is one shard's externally visible routing counters.
@@ -113,22 +83,15 @@ type Snapshot struct {
 	Shards map[string]ShardStats
 }
 
-// snapshot assembles the JSON payload.
+// snapshot assembles the routing part of the JSON payload; the
+// Coordinator adds the front's and the jobs' parts.
 func (m *Metrics) snapshot() Snapshot {
 	s := Snapshot{
-		InFlight:    m.inFlight.Load(),
 		Points:      m.points.Value(),
 		PointErrors: m.pointErrs.Value(),
-		StreamLines: m.stream.Value(),
 		Shards:      make(map[string]ShardStats),
 	}
-	m.mu.Lock()
-	rows := make(map[string]*shardMetrics, len(m.perShard))
 	for name, sm := range m.perShard {
-		rows[name] = sm
-	}
-	m.mu.Unlock()
-	for name, sm := range rows {
 		st := ShardStats{
 			Routed:    sm.routed.Value(),
 			Hedges:    sm.hedges.Value(),

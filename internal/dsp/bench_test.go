@@ -1,7 +1,6 @@
-// Benchmarks for the transform plan cache (ISSUE 1): the planned hot path
-// (FFTInPlace → Plan.Execute, precomputed tables, pooled scratch) against
-// the plan-free reference implementations that rebuild their state every
-// call. Run with:
+// Benchmarks for the transform plan cache: the planned hot path
+// (FFTInPlace → Plan.Execute, precomputed tables, pooled scratch). Run
+// with:
 //
 //	go test -bench 'FFT' -benchmem ./internal/dsp
 //
@@ -28,35 +27,11 @@ func benchmarkPlanned(b *testing.B, n int) {
 	}
 }
 
-func benchmarkUnplanned(b *testing.B, n int) {
-	x := benchInput(n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	if IsPowerOfTwo(n) {
-		for i := 0; i < b.N; i++ {
-			radix2(x, false)
-		}
-	} else {
-		for i := 0; i < b.N; i++ {
-			bluestein(x, false)
-		}
-	}
-}
-
-func BenchmarkFFTPlannedPow2_256(b *testing.B)   { benchmarkPlanned(b, 256) }
-func BenchmarkFFTUnplannedPow2_256(b *testing.B) { benchmarkUnplanned(b, 256) }
-
-func BenchmarkFFTPlannedPow2_1024(b *testing.B)   { benchmarkPlanned(b, 1024) }
-func BenchmarkFFTUnplannedPow2_1024(b *testing.B) { benchmarkUnplanned(b, 1024) }
-
-func BenchmarkFFTPlannedPow2_4096(b *testing.B)   { benchmarkPlanned(b, 4096) }
-func BenchmarkFFTUnplannedPow2_4096(b *testing.B) { benchmarkUnplanned(b, 4096) }
-
-func BenchmarkFFTPlannedBluestein_1000(b *testing.B)   { benchmarkPlanned(b, 1000) }
-func BenchmarkFFTUnplannedBluestein_1000(b *testing.B) { benchmarkUnplanned(b, 1000) }
-
-func BenchmarkFFTPlannedBluestein_1331(b *testing.B)   { benchmarkPlanned(b, 1331) }
-func BenchmarkFFTUnplannedBluestein_1331(b *testing.B) { benchmarkUnplanned(b, 1331) }
+func BenchmarkFFTPlannedPow2_256(b *testing.B)       { benchmarkPlanned(b, 256) }
+func BenchmarkFFTPlannedPow2_1024(b *testing.B)      { benchmarkPlanned(b, 1024) }
+func BenchmarkFFTPlannedPow2_4096(b *testing.B)      { benchmarkPlanned(b, 4096) }
+func BenchmarkFFTPlannedBluestein_1000(b *testing.B) { benchmarkPlanned(b, 1000) }
+func BenchmarkFFTPlannedBluestein_1331(b *testing.B) { benchmarkPlanned(b, 1331) }
 
 // BenchmarkFFT2D_128 measures the 2-D transform with the blocked-transpose
 // column pass and pooled scratch (steady state: one transform in flight,

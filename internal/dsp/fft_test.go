@@ -278,25 +278,3 @@ func TestFFTPropertyParseval(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkFFTPow2(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	x := randComplex(rng, 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf := append([]complex128(nil), x...)
-		FFTInPlace(buf)
-	}
-}
-
-func BenchmarkFFTBluestein(b *testing.B) {
-	rng := rand.New(rand.NewSource(10))
-	x := randComplex(rng, 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf := append([]complex128(nil), x...)
-		FFTInPlace(buf)
-	}
-}

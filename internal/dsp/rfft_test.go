@@ -232,16 +232,6 @@ func benchmarkRFFT(b *testing.B, n int) {
 	}
 }
 
-func benchmarkFFTRealNaive(b *testing.B, n int) {
-	rng := rand.New(rand.NewSource(1))
-	x := randReal(rng, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FFTRealNaive(x)
-	}
-}
-
 // BenchmarkRFFTPow2_256 measures the packed real forward transform at the
 // engine's row-tiling scale.
 func BenchmarkRFFTPow2_256(b *testing.B) { benchmarkRFFT(b, 256) }
@@ -252,10 +242,6 @@ func BenchmarkRFFTPow2_1024(b *testing.B) { benchmarkRFFT(b, 1024) }
 
 // BenchmarkRFFTBluestein_1000 measures the odd-length fallback lane.
 func BenchmarkRFFTBluestein_1000(b *testing.B) { benchmarkRFFT(b, 999) }
-
-// BenchmarkRFFTNaive_1024 is the widen-to-complex reference the packed
-// lane is compared against (expect ~2× the time plus allocation).
-func BenchmarkRFFTNaive_1024(b *testing.B) { benchmarkFFTRealNaive(b, 1024) }
 
 // BenchmarkIRFFTPow2_1024 measures the inverse real lane, the hot
 // operation of the spectral convolution path.

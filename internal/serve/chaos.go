@@ -123,7 +123,7 @@ func (s *Server) withChaos(h http.HandlerFunc) http.HandlerFunc {
 		if s.chaos.shouldFail() {
 			s.metrics.chaosInjected.Add(1)
 			w.Header().Set(chaosHeader, "injected")
-			s.tier.WriteError(w, &apiError{
+			s.writeError(w, &apiError{
 				status:     http.StatusServiceUnavailable,
 				retryAfter: 1,
 				err:        errors.New("serve: chaos-injected failure (configured, not real)"),

@@ -1,15 +1,12 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
-	"strconv"
 	"sync/atomic"
 
 	"refocus/internal/arch"
@@ -20,55 +17,16 @@ import (
 	"refocus/internal/robust"
 )
 
-// Tier is what a serving tier (the worker Server or the cluster
-// Coordinator) lends the request plumbing both tiers share: its body
-// size cap, its JSON response writer and its stream-line counter.
-type Tier struct {
-	MaxBodyBytes int64
-	WriteJSON    func(w http.ResponseWriter, status int, v any)
-	StreamLine   func()
-}
-
-// Decode strictly parses the request body into v, enforcing the body
-// cap and rejecting unknown fields and trailing data.
-func (t Tier) Decode(w http.ResponseWriter, r *http.Request, v any) error {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, t.MaxBodyBytes))
-	if err != nil {
-		return fmt.Errorf("serve: reading body: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return BadRequest(fmt.Errorf("serve: parsing request: %w", err))
-	}
-	if dec.More() {
-		return BadRequest(errors.New("serve: parsing request: trailing data after JSON object"))
-	}
-	return nil
-}
-
-// WriteError sends the structured error payload for err with StatusOf's
-// status, honoring any Retry-After hint the error carries.
-func (t Tier) WriteError(w http.ResponseWriter, err error) {
-	status := StatusOf(err)
-	var ae *apiError
-	if errors.As(err, &ae) && ae.retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(ae.retryAfter))
-	}
-	t.WriteJSON(w, status, ErrorResponse{Error: err.Error(), Status: status})
-}
-
-// CellEval evaluates one job cell's request on a tier, waiting out any
-// shed instead of failing the job: shedding protects request latency,
-// and job cells are deferrable by definition. routeKey places the cell
-// on a cluster's ring (a campaign's trial seed, a candidate's config
-// hash), so a fixed cell always lands on the same shard.
-type CellEval func(ctx context.Context, req EvaluateRequest, routeKey string) ([]arch.Report, error)
+// cellEval evaluates one job cell's request on a tier (Tier.cell).
+// routeKey places the cell on a cluster's ring (a campaign's trial seed,
+// a candidate's config hash), so a fixed cell always lands on the same
+// shard.
+type cellEval func(ctx context.Context, req EvaluateRequest, routeKey string) ([]arch.Report, error)
 
 // Jobs is one tier's long-running work: the robustness campaigns and
 // design-space searches it runs, their managers and their metrics. A
 // campaign or search runs in the tier's process; only its cells travel,
-// through the tier's CellEval.
+// through the tier's Point.
 type Jobs struct {
 	campaigns     *robust.Manager
 	searches      *opt.Manager
@@ -78,8 +36,10 @@ type Jobs struct {
 
 // NewJobs builds a tier's job managers, checkpointing into campaignDir
 // and optimizeDir ("" runs that kind without durability), with at most
-// parallelism cells in flight per job, counted on reg.
-func NewJobs(reg *obs.Registry, campaignDir, optimizeDir string, parallelism int, eval CellEval) (*Jobs, error) {
+// parallelism cells in flight per job, counted on the tier's registry,
+// and mounts their routes on the tier.
+func NewJobs(t *Tier, campaignDir, optimizeDir string, parallelism int) (*Jobs, error) {
+	reg, eval := t.tc.Metrics, t.cell
 	j := &Jobs{
 		campaignCount: newJobMetrics(reg, "robustness", "Robustness", "campaigns", "trials"),
 		searchCount:   newJobMetrics(reg, "optimize", "Design-space", "searches", "points"),
@@ -98,16 +58,9 @@ func NewJobs(reg *obs.Registry, campaignDir, optimizeDir string, parallelism int
 		j.campaigns.Close()
 		return nil, err
 	}
+	mountJobs(t, "/v1/robustness", "campaign", j.campaigns)
+	mountJobs(t, "/v1/optimize", "search", j.searches)
 	return j, nil
-}
-
-// Mount registers the start and status routes of both job kinds on mux,
-// each handler wrapped by the tier's middleware under a metrics label.
-// The label of a status route avoids the path pattern's braces, which
-// collide with the Prometheus exposition's label syntax.
-func (j *Jobs) Mount(mux *http.ServeMux, wrap func(label string, h http.HandlerFunc) http.Handler, t Tier) {
-	mountJobs(mux, wrap, t, "/v1/robustness", "campaign", j.campaigns)
-	mountJobs(mux, wrap, t, "/v1/optimize", "search", j.searches)
 }
 
 // Close cancels the running jobs and waits for them to unwind; their
@@ -129,32 +82,31 @@ func (j *Jobs) Stats() (RobustnessStats, OptimizeStats) {
 // job, 200 when attaching — or, for NDJSON requests, streams its lines
 // until it finishes; GET path/{id} reports the live job, or the
 // checkpoint's view of a finished or interrupted one.
-func mountJobs[S job.Spec[S], R job.Record, F, St any](mux *http.ServeMux, wrap func(string, http.HandlerFunc) http.Handler,
-	t Tier, path, noun string, m *job.Manager[S, R, F, St]) {
-	mux.Handle("POST "+path, wrap(path, func(w http.ResponseWriter, r *http.Request) {
+func mountJobs[S job.Spec[S], R job.Record, F, St any](t *Tier, path, noun string, m *job.Manager[S, R, F, St]) {
+	t.Handle("POST "+path, path, func(w http.ResponseWriter, r *http.Request) {
 		var spec S
-		if err := t.Decode(w, r, &spec); err != nil {
-			t.WriteError(w, err)
+		if err := t.decode(w, r, &spec); err != nil {
+			t.writeError(w, err)
 			return
 		}
 		j, created, err := m.Start(spec)
 		switch {
 		case errors.Is(err, job.ErrBusy):
-			t.WriteError(w, &apiError{status: http.StatusTooManyRequests, retryAfter: 5, err: err})
+			t.writeError(w, &apiError{status: http.StatusTooManyRequests, retryAfter: 5, err: err})
 		case err != nil:
-			t.WriteError(w, BadRequest(err))
-		case WantsNDJSON(r):
-			job.Stream(w, r, j, t.StreamLine)
+			t.writeError(w, badRequest(err))
+		case wantsNDJSON(r):
+			job.Stream(w, r, j, t.streamLines.Inc)
 		case created:
-			t.WriteJSON(w, http.StatusAccepted, j.Status())
+			t.writeJSON(w, http.StatusAccepted, j.Status())
 		default:
-			t.WriteJSON(w, http.StatusOK, j.Status())
+			t.writeJSON(w, http.StatusOK, j.Status())
 		}
-	}))
-	mux.Handle("GET "+path+"/{id}", wrap(path+"/status", func(w http.ResponseWriter, r *http.Request) {
+	})
+	t.Handle("GET "+path+"/{id}", path+"/status", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		if j, ok := m.Get(id); ok {
-			t.WriteJSON(w, http.StatusOK, j.Status())
+			t.writeJSON(w, http.StatusOK, j.Status())
 			return
 		}
 		st, err := m.StatusFromDisk(id)
@@ -162,17 +114,17 @@ func mountJobs[S job.Spec[S], R job.Record, F, St any](mux *http.ServeMux, wrap 
 			err = &apiError{status: http.StatusNotFound, err: fmt.Errorf("serve: no %s %q", noun, id)}
 		}
 		if err != nil {
-			t.WriteError(w, err)
+			t.writeError(w, err)
 			return
 		}
-		t.WriteJSON(w, http.StatusOK, st)
-	}))
+		t.writeJSON(w, http.StatusOK, st)
+	})
 }
 
-// trialEval adapts a tier's CellEval to campaign trials: the campaign's
+// trialEval adapts a tier's cellEval to campaign trials: the campaign's
 // design point and workload, degraded by the trial's fault set (none for
 // the nominal machine).
-func trialEval(eval CellEval) robust.TrialEval {
+func trialEval(eval cellEval) robust.TrialEval {
 	return func(ctx context.Context, spec robust.Spec, fs faults.FaultSet, routeKey string) (robust.TrialMetrics, error) {
 		req := EvaluateRequest{Preset: spec.Preset, Config: spec.Config, Network: spec.Network}
 		if !fs.IsZero() {
@@ -190,10 +142,10 @@ func trialEval(eval CellEval) robust.TrialEval {
 	}
 }
 
-// pointEval adapts a tier's CellEval to search candidates: the
+// pointEval adapts a tier's cellEval to search candidates: the
 // materialized design point on the search's workload. A candidate any
 // earlier search or request visited is a cache hit, not an evaluation.
-func pointEval(eval CellEval) opt.PointEval {
+func pointEval(eval cellEval) opt.PointEval {
 	return func(ctx context.Context, spec opt.Spec, cfg arch.SystemConfig, routeKey string) (opt.PointMetrics, error) {
 		data, err := arch.ConfigJSON(cfg)
 		if err != nil {

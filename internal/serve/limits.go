@@ -86,11 +86,11 @@ func (l SpecLimits) check(net nn.Network) error {
 func RouteKey(req EvaluateRequest, lim SpecLimits) (string, error) {
 	cfg, err := resolveRequestConfig(req)
 	if err != nil {
-		return "", BadRequest(err)
+		return "", badRequest(err)
 	}
 	fs, err := resolveRequestFaults(req, cfg)
 	if err != nil {
-		return "", BadRequest(err)
+		return "", badRequest(err)
 	}
 	nets, err := resolveRequestNetworks(req, lim)
 	if err != nil {

@@ -1,9 +1,6 @@
 package serve
 
 import (
-	"io"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"refocus/internal/obs"
@@ -30,7 +27,7 @@ const overflowLabel = ">=10s"
 
 // endpointMetrics holds one route's registry handles. The counters and
 // histogram update lock-free; the route map they live in is guarded by
-// Metrics.mu only at registration and snapshot time.
+// Tier.mu only at registration and snapshot time.
 type endpointMetrics struct {
 	requests *obs.Counter
 	errors   *obs.Counter // responses with status >= 400
@@ -46,55 +43,43 @@ func (e *endpointMetrics) observe(d time.Duration, status int) {
 	e.latency.Observe(d.Seconds())
 }
 
-// Metrics aggregates service-wide counters on an obs.Registry, serving
+// Metrics aggregates the worker's counters on an obs.Registry, serving
 // two views of the same instruments: the historical JSON snapshot
 // (back-compat, byte-identical schema) and the Prometheus text
-// exposition. Per-endpoint request counts and latency histograms ride
-// the "endpoint" label; the pipeline stages (queue wait, cache lookup,
-// evaluation, response encode) each get their own histogram.
+// exposition. The pipeline stages (queue wait, cache lookup,
+// evaluation) each get their own histogram; the front (Tier) adds the
+// per-endpoint families, the in-flight gauge and the encode stage.
 type Metrics struct {
 	reg *obs.Registry
 
-	mu        sync.Mutex
-	endpoints map[string]*endpointMetrics
-
-	inFlight      atomic.Int64
 	cacheHits     *obs.Counter
 	cacheMisses   *obs.Counter
 	evaluations   *obs.Counter
 	shed          *obs.Counter
 	chaosInjected *obs.Counter
 	chaosSlowed   *obs.Counter
-	streamLines   *obs.Counter
 
 	queueWait   *obs.Histogram
 	cacheLookup *obs.Histogram
 	evaluate    *obs.Histogram
-	encode      *obs.Histogram
 }
 
-// newMetrics builds the zeroed instrument set, registering the shared
-// families plus live gauges over the result cache and the in-flight
-// count.
+// newMetrics builds the zeroed instrument set, registering the worker
+// families plus live gauges over the result cache.
 func newMetrics(cache ResultStore) *Metrics {
 	reg := obs.NewRegistry()
 	m := &Metrics{
 		reg:           reg,
-		endpoints:     make(map[string]*endpointMetrics),
 		cacheHits:     reg.Counter("refocus_cache_hits_total", "Result-cache hits across all requests.", nil),
 		cacheMisses:   reg.Counter("refocus_cache_misses_total", "Result-cache misses across all requests.", nil),
 		evaluations:   reg.Counter("refocus_evaluations_total", "Design-point evaluations executed on the worker pool (cache misses that did real work).", nil),
 		shed:          reg.Counter("refocus_shed_total", "Requests rejected with 429 because the bounded queue ahead of the worker pool was full.", nil),
 		chaosInjected: reg.Counter("refocus_chaos_injected_total", "Requests failed on purpose by the opt-in chaos middleware.", nil),
 		chaosSlowed:   reg.Counter("refocus_chaos_slowed_total", "Evaluations delayed on purpose by the opt-in chaos middleware.", nil),
-		streamLines:   reg.Counter("refocus_sweep_stream_lines_total", "Sweep results delivered over the NDJSON streaming lane.", nil),
 		queueWait:     reg.Histogram("refocus_queue_wait_seconds", "Time requests spent waiting for a worker slot.", nil, obs.FineBuckets),
 		cacheLookup:   reg.Histogram("refocus_cache_lookup_seconds", "Time spent probing the result cache per request.", nil, obs.FineBuckets),
 		evaluate:      reg.Histogram("refocus_evaluate_seconds", "Time spent in design-point evaluation per request that reached the worker pool.", nil, obs.DefBuckets),
-		encode:        reg.Histogram("refocus_encode_seconds", "Time spent JSON-encoding responses.", nil, obs.FineBuckets),
 	}
-	reg.Gauge("refocus_in_flight", "Requests currently inside a handler.", nil,
-		func() float64 { return float64(m.inFlight.Load()) })
 	reg.Gauge("refocus_cache_entries", "Result-cache entries currently held in memory.", nil,
 		func() float64 { return float64(cache.Len()) })
 	reg.Gauge("refocus_cache_capacity", "Result-cache in-memory capacity in entries.", nil,
@@ -107,26 +92,52 @@ func newMetrics(cache ResultStore) *Metrics {
 }
 
 // endpoint returns (creating on first use) the instruments for one route.
-func (m *Metrics) endpoint(name string) *endpointMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	em, ok := m.endpoints[name]
+func (t *Tier) endpoint(label string) *endpointMetrics {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	em, ok := t.endpoints[label]
 	if !ok {
-		labels := obs.Labels{"endpoint": name}
+		labels := obs.Labels{"endpoint": label}
+		reg := t.tc.Metrics
 		em = &endpointMetrics{
-			requests: m.reg.Counter("refocus_requests_total", "Completed requests by endpoint.", labels),
-			errors:   m.reg.Counter("refocus_request_errors_total", "Completed requests answered with a 4xx/5xx status, by endpoint.", labels),
-			latency:  m.reg.Histogram("refocus_request_seconds", "Request handler latency by endpoint.", labels, obs.DefBuckets),
+			requests: reg.Counter("refocus_requests_total", "Completed requests by endpoint.", labels),
+			errors:   reg.Counter("refocus_request_errors_total", "Completed requests answered with a 4xx/5xx status, by endpoint.", labels),
+			latency:  reg.Histogram("refocus_request_seconds", "Request handler latency by endpoint.", labels, obs.DefBuckets),
 		}
-		m.endpoints[name] = em
+		t.endpoints[label] = em
 	}
 	return em
 }
 
-// writePrometheus renders every instrument in the text exposition
-// format.
-func (m *Metrics) writePrometheus(w io.Writer) error {
-	return m.reg.WritePrometheus(w)
+// endpointStats reads every route's counters. The route map is copied
+// under the lock (pointers only — the instruments themselves are
+// atomic), and every value is read outside it, so a slow or stalled
+// client can never hold up the handlers.
+func (t *Tier) endpointStats() map[string]EndpointStats {
+	t.mu.Lock()
+	routes := make(map[string]*endpointMetrics, len(t.endpoints))
+	for label, em := range t.endpoints {
+		routes[label] = em
+	}
+	t.mu.Unlock()
+	out := make(map[string]EndpointStats, len(routes))
+	for label, em := range routes {
+		st := EndpointStats{
+			Requests: em.requests.Value(),
+			Errors:   em.errors.Value(),
+			Latency:  make(map[string]int64, len(latencyBuckets)+1),
+		}
+		if st.Requests > 0 {
+			st.MeanLatencyMillis = em.latency.Sum() / float64(st.Requests) * 1e3
+		}
+		counts := em.latency.BucketCounts()
+		for i, b := range latencyBuckets {
+			st.Latency[b.label] = counts[i]
+		}
+		st.Latency[overflowLabel] = counts[len(counts)-1]
+		out[label] = st
+	}
+	return out
 }
 
 // EndpointStats is the externally visible form of one route's counters.
@@ -209,13 +220,10 @@ type Snapshot struct {
 	Endpoints map[string]EndpointStats
 }
 
-// snapshot assembles the JSON payload. The endpoint map is copied under
-// the metrics mutex (pointers only — the instruments themselves are
-// atomic), and every value read plus the JSON encoding happen outside
-// any lock, so a slow or stalled client can never hold up the handlers.
+// snapshot assembles the worker's own part of the JSON payload; the
+// Server adds the front's and the jobs' parts.
 func (m *Metrics) snapshot(cache ResultStore) Snapshot {
 	s := Snapshot{
-		InFlight:      m.inFlight.Load(),
 		Evaluations:   m.evaluations.Value(),
 		Shed:          m.shed.Value(),
 		ChaosInjected: m.chaosInjected.Value(),
@@ -226,32 +234,9 @@ func (m *Metrics) snapshot(cache ResultStore) Snapshot {
 			Entries:  cache.Len(),
 			Capacity: cache.Cap(),
 		},
-		Endpoints: make(map[string]EndpointStats),
 	}
 	if dh, ok := cache.(diskHitCounter); ok {
 		s.Cache.DiskHits = dh.DiskHits()
-	}
-	m.mu.Lock()
-	routes := make(map[string]*endpointMetrics, len(m.endpoints))
-	for name, em := range m.endpoints {
-		routes[name] = em
-	}
-	m.mu.Unlock()
-	for name, em := range routes {
-		st := EndpointStats{
-			Requests: em.requests.Value(),
-			Errors:   em.errors.Value(),
-			Latency:  make(map[string]int64, len(latencyBuckets)+1),
-		}
-		if st.Requests > 0 {
-			st.MeanLatencyMillis = em.latency.Sum() / float64(st.Requests) * 1e3
-		}
-		counts := em.latency.BucketCounts()
-		for i, b := range latencyBuckets {
-			st.Latency[b.label] = counts[i]
-		}
-		st.Latency[overflowLabel] = counts[len(counts)-1]
-		s.Endpoints[name] = st
 	}
 	return s
 }

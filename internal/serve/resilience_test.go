@@ -311,7 +311,7 @@ func bootServer(t *testing.T, body func(base string)) func() {
 	ctx, cancel := context.WithCancel(context.Background())
 	out := &syncBuffer{}
 	errc := make(chan error, 1)
-	go func() { errc <- ListenAndServe(ctx, Config{}, "127.0.0.1:0", out) }()
+	go func() { errc <- New(Config{}).ListenAndServe(ctx, "127.0.0.1:0", out) }()
 
 	var base string
 	deadline := time.Now().Add(10 * time.Second)

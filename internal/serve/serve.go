@@ -28,9 +28,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -117,9 +115,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the evaluation service: handlers, result cache, worker pool
-// and metrics. Create with New; it is safe for concurrent use.
+// Server is the evaluation service: the HTTP front, result cache, worker
+// pool and metrics. Create with New; it is safe for concurrent use.
 type Server struct {
+	*Tier
 	cfg     Config
 	cache   ResultStore
 	metrics *Metrics
@@ -128,15 +127,7 @@ type Server struct {
 	// (waiting or evaluating); past Workers+QueueDepth arrivals are shed.
 	admitted atomic.Int64
 	chaos    *chaosInjector
-	mux      *http.ServeMux
-	logger   *slog.Logger
 	jobs     *Jobs
-	tier     Tier
-	// reqSeq numbers requests; joined with a per-process prefix it
-	// forms the X-Request-ID every response carries and every span and
-	// log line repeats.
-	reqSeq    atomic.Int64
-	reqPrefix string
 }
 
 // New builds a Server from the config (zero fields defaulted).
@@ -147,31 +138,36 @@ func New(cfg Config) *Server {
 		cache = newReportCache(cfg.CacheSize)
 	}
 	s := &Server{
-		cfg:       cfg,
-		cache:     cache,
-		metrics:   newMetrics(cache),
-		slots:     make(chan struct{}, cfg.Workers),
-		chaos:     newChaosInjector(cfg.Chaos),
-		mux:       http.NewServeMux(),
-		logger:    cfg.Logger,
-		reqPrefix: fmt.Sprintf("%x", time.Now().UnixNano()&0xffffff),
+		cfg:     cfg,
+		cache:   cache,
+		metrics: newMetrics(cache),
+		slots:   make(chan struct{}, cfg.Workers),
+		chaos:   newChaosInjector(cfg.Chaos),
 	}
-	s.mux.Handle("POST /v1/evaluate", s.instrument("/v1/evaluate", s.withChaos(s.handleEvaluate)))
-	s.mux.Handle("POST /v1/sweep", s.instrument("/v1/sweep", s.withChaos(s.handleSweep)))
-	s.mux.Handle("GET /v1/presets", s.instrument("/v1/presets", s.handlePresets))
-	s.mux.Handle("GET /v1/networks", s.instrument("/v1/networks", s.handleNetworks))
-	s.mux.Handle("GET /healthz", s.instrument("/healthz", s.handleHealthz))
-	s.mux.Handle("GET /metrics", s.instrument("/metrics", s.handleMetrics))
-	s.tier = Tier{MaxBodyBytes: cfg.MaxBodyBytes, WriteJSON: s.writeJSON, StreamLine: s.metrics.streamLines.Inc}
+	s.Tier = NewTier(TierConfig{
+		Point: func(ctx context.Context, req EvaluateRequest, _ string) (EvaluateResponse, error) {
+			return s.evaluatePoint(ctx, req)
+		},
+		Timeout:       cfg.RequestTimeout,
+		MaxBodyBytes:  cfg.MaxBodyBytes,
+		Metrics:       s.metrics.reg,
+		InFlightGauge: "refocus_in_flight",
+		StreamCounter: "refocus_sweep_stream_lines_total",
+		Snapshot:      func() any { return s.MetricsSnapshot() },
+		Health:        map[string]string{"status": "ok"},
+		Guard:         s.withChaos,
+		Logger:        cfg.Logger,
+	})
+	s.Handle("GET /v1/presets", "/v1/presets", s.handlePresets)
+	s.Handle("GET /v1/networks", "/v1/networks", s.handleNetworks)
 	var err error
-	s.jobs, err = NewJobs(s.metrics.reg, cfg.CampaignDir, cfg.OptimizeDir, cfg.Workers, s.evaluateCell)
+	s.jobs, err = NewJobs(s.Tier, cfg.CampaignDir, cfg.OptimizeDir, cfg.Workers)
 	if err != nil {
 		// Only a checkpoint-directory MkdirAll can fail here; jobs lose
 		// durability but the service still serves.
-		s.logger.Error("job checkpoint dir unavailable; running without durability", "err", err)
-		s.jobs, _ = NewJobs(s.metrics.reg, "", "", cfg.Workers, s.evaluateCell)
+		cfg.Logger.Error("job checkpoint dir unavailable; running without durability", "err", err)
+		s.jobs, _ = NewJobs(s.Tier, "", "", cfg.Workers)
 	}
-	s.jobs.Mount(s.mux, s.instrument, s.tier)
 	return s
 }
 
@@ -180,12 +176,10 @@ func New(cfg Config) *Server {
 // the next incarnation to resume.
 func (s *Server) Close() { s.jobs.Close() }
 
-// Handler returns the service's HTTP handler (all routes).
-func (s *Server) Handler() http.Handler { return s.mux }
-
 // MetricsSnapshot returns the current counters — what GET /metrics serves.
 func (s *Server) MetricsSnapshot() Snapshot {
 	snap := s.metrics.snapshot(s.cache)
+	snap.InFlight, snap.Endpoints = s.InFlight(), s.endpointStats()
 	snap.Robustness, snap.Optimize = s.jobs.Stats()
 	return snap
 }
@@ -317,10 +311,10 @@ func (e *apiError) Error() string { return e.err.Error() }
 // Unwrap exposes the cause to errors.Is/As.
 func (e *apiError) Unwrap() error { return e.err }
 
-// BadRequest tags an error as a 400. An error already carrying a status
+// badRequest tags an error as a 400. An error already carrying a status
 // tag (a 422 from the spec limits, a 429 from shedding) keeps it — the
 // more specific classification wins.
-func BadRequest(err error) error {
+func badRequest(err error) error {
 	var ae *apiError
 	if errors.As(err, &ae) {
 		return err
@@ -350,67 +344,6 @@ func StatusOf(err error) int {
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusInternalServerError
-}
-
-// statusWriter records the status a handler wrote so the metrics
-// middleware can classify the response.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-// WriteHeader records the status before delegating.
-func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
-}
-
-// Unwrap exposes the underlying writer to http.ResponseController, so
-// the NDJSON lanes can flush each line through the middleware.
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// requestIDHeader carries the server-assigned request id on every
-// response, so clients can quote it when reporting a failure and logs,
-// spans and wire traffic all correlate on one token.
-const requestIDHeader = "X-Request-ID"
-
-// instrument wraps a handler with the observability middleware: a
-// request id minted into the context (and response header), the
-// in-flight gauge, request/error counters, the latency histogram, and
-// one structured log line per completed request.
-func (s *Server) instrument(name string, h http.HandlerFunc) http.Handler {
-	em := s.metrics.endpoint(name)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.metrics.inFlight.Add(1)
-		defer s.metrics.inFlight.Add(-1)
-		reqID := fmt.Sprintf("%s-%06d", s.reqPrefix, s.reqSeq.Add(1))
-		r = r.WithContext(obs.WithRequestID(r.Context(), reqID))
-		w.Header().Set(requestIDHeader, reqID)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		h(sw, r)
-		elapsed := time.Since(start)
-		em.observe(elapsed, sw.status)
-		s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
-			slog.String("request_id", reqID),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", sw.status),
-			slog.Duration("duration", elapsed),
-		)
-	})
-}
-
-// writeJSON sends v with the given status, timing the encode into the
-// refocus_encode_seconds stage histogram.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	start := time.Now()
-	enc.Encode(v) //nolint:errcheck // a failed write means the client is gone
-	s.metrics.encode.Observe(time.Since(start).Seconds())
 }
 
 // resolveRequestConfig turns a request into a validated design point:
@@ -507,17 +440,17 @@ func (s *Server) evaluatePoint(ctx context.Context, req EvaluateRequest) (Evalua
 	cfg, err := resolveRequestConfig(req)
 	if err != nil {
 		resolveSpan.End()
-		return EvaluateResponse{}, BadRequest(err)
+		return EvaluateResponse{}, badRequest(err)
 	}
 	fs, err := resolveRequestFaults(req, cfg)
 	if err != nil {
 		resolveSpan.End()
-		return EvaluateResponse{}, BadRequest(err)
+		return EvaluateResponse{}, badRequest(err)
 	}
 	nets, err := resolveRequestNetworks(req, s.cfg.Limits)
 	if err != nil {
 		resolveSpan.End()
-		return EvaluateResponse{}, BadRequest(err)
+		return EvaluateResponse{}, badRequest(err)
 	}
 	hash, err := arch.ConfigHash(cfg)
 	resolveSpan.SetAttr("config", cfg.Name)
@@ -543,7 +476,7 @@ func (s *Server) evaluatePoint(ctx context.Context, req EvaluateRequest) (Evalua
 		// still answer with an honest Degradation block.
 		_, deg, err := fs.Degrade(cfg)
 		if err != nil {
-			return EvaluateResponse{}, BadRequest(err)
+			return EvaluateResponse{}, badRequest(err)
 		}
 		resp.Degradation = &deg
 	}
@@ -610,7 +543,7 @@ func (s *Server) evaluatePoint(ctx context.Context, req EvaluateRequest) (Evalua
 		evalSpan.End()
 		s.releaseSlot()
 		if err != nil {
-			return EvaluateResponse{}, BadRequest(err)
+			return EvaluateResponse{}, badRequest(err)
 		}
 		s.metrics.evaluations.Add(int64(len(missing)))
 		for j, r := range reports {
@@ -619,132 +552,6 @@ func (s *Server) evaluatePoint(ctx context.Context, req EvaluateRequest) (Evalua
 		}
 	}
 	return resp, nil
-}
-
-// evaluateCell is the worker's CellEval: a job cell goes through the
-// ordinary evaluatePoint path (result cache, worker-slot admission; the
-// chaos middleware is bypassed, since cells are internal work, not
-// requests), and a cell the worker pool sheds waits out the Retry-After
-// and tries again.
-func (s *Server) evaluateCell(ctx context.Context, req EvaluateRequest, _ string) ([]arch.Report, error) {
-	for {
-		resp, err := s.evaluatePoint(ctx, req)
-		var ae *apiError
-		if !errors.As(err, &ae) || ae.status != http.StatusTooManyRequests {
-			return resp.Reports, err
-		}
-		t := time.NewTimer(max(time.Duration(ae.retryAfter)*time.Second, time.Second))
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return nil, fmt.Errorf("serve: job cell canceled during backoff: %w", ctx.Err())
-		}
-	}
-}
-
-// handleEvaluate serves POST /v1/evaluate. With ?trace=1 the request
-// runs under a fresh obs.Trace and the response carries the Chrome
-// trace_event JSON of its own evaluation — per-request profiling with
-// no server-side state.
-func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	var req EvaluateRequest
-	if err := s.tier.Decode(w, r, &req); err != nil {
-		s.tier.WriteError(w, err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	var tr *obs.Trace
-	if r.URL.Query().Get("trace") == "1" {
-		tr = obs.NewTrace()
-		ctx = obs.WithTrace(ctx, tr)
-	}
-	root := obs.StartSpan(ctx, "serve.request")
-	root.SetAttr("request_id", obs.RequestID(ctx))
-	resp, err := s.evaluatePoint(ctx, req)
-	root.End()
-	if err != nil {
-		s.tier.WriteError(w, err)
-		return
-	}
-	resp.Trace = tr
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// WantsNDJSON reports whether the request asked for the streaming sweep
-// lane: the NDJSON media type anywhere in Accept, or ?stream=1 for
-// clients that cannot set headers.
-func WantsNDJSON(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), NDJSONContentType) ||
-		r.URL.Query().Get("stream") == "1"
-}
-
-// handleSweep serves POST /v1/sweep: points fan out concurrently (each
-// point's real work still bounded by the worker pool), and per-point
-// failures come back inline instead of aborting the batch. With
-// Accept: application/x-ndjson the response streams one line per point
-// as it completes; the default is the buffered JSON body in input order,
-// kept for legacy clients.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if err := s.tier.Decode(w, r, &req); err != nil {
-		s.tier.WriteError(w, err)
-		return
-	}
-	if len(req.Points) == 0 {
-		s.tier.WriteError(w, BadRequest(errors.New("serve: sweep carries no Points")))
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-
-	lines := make(chan SweepStreamLine, len(req.Points))
-	for i := range req.Points {
-		go func(i int) {
-			line := SweepStreamLine{Index: i}
-			point, err := s.evaluatePoint(ctx, req.Points[i])
-			if err != nil {
-				line.Error = err.Error()
-			} else {
-				line.EvaluateResponse = point
-			}
-			lines <- line
-		}(i)
-	}
-
-	if WantsNDJSON(r) {
-		s.streamSweep(w, len(req.Points), lines)
-		return
-	}
-	resp := SweepResponse{Points: make([]SweepPointResult, len(req.Points))}
-	for range req.Points {
-		line := <-lines
-		resp.Points[line.Index] = line.SweepPointResult
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// streamSweep writes the NDJSON lane: one compact SweepStreamLine per
-// completed point, flushed immediately so the first result reaches the
-// client while later points are still evaluating. Write failures abandon
-// the stream (the client is gone); evaluation failures are inline Error
-// lines, never a broken stream.
-func (s *Server) streamSweep(w http.ResponseWriter, n int, lines <-chan SweepStreamLine) {
-	w.Header().Set("Content-Type", NDJSONContentType)
-	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
-	for i := 0; i < n; i++ {
-		line := <-lines
-		start := time.Now()
-		if err := enc.Encode(line); err != nil {
-			return
-		}
-		s.metrics.encode.Observe(time.Since(start).Seconds())
-		s.metrics.streamLines.Inc()
-		rc.Flush() //nolint:errcheck // an unflushable writer just buffers
-	}
 }
 
 // handlePresets serves GET /v1/presets.
@@ -812,7 +619,7 @@ func (s *Server) handleNetworks(w http.ResponseWriter, r *http.Request) {
 	for _, n := range nn.Networks() {
 		hash, err := nn.NetworkHash(n)
 		if err != nil {
-			s.tier.WriteError(w, err)
+			s.writeError(w, err)
 			return
 		}
 		seen := map[nn.LayerKind]bool{}
@@ -826,54 +633,4 @@ func (s *Server) handleNetworks(w http.ResponseWriter, r *http.Request) {
 		resp.Networks = append(resp.Networks, info)
 	}
 	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// handleHealthz serves GET /healthz.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleMetrics serves GET /metrics: the historical JSON snapshot by
-// default, or the Prometheus text exposition (version 0.0.4) with
-// ?format=prometheus — both views of the same registry, so a scraper
-// and a dashboard can never disagree on the numbers.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.metrics.writePrometheus(w) //nolint:errcheck // a failed write means the scraper is gone
-		return
-	}
-	s.writeJSON(w, http.StatusOK, s.MetricsSnapshot())
-}
-
-// ListenAndServe runs the service on addr until ctx is canceled, then
-// drains in-flight requests and returns (graceful shutdown — the SIGTERM
-// path of cmd/refocus-serve). It announces the bound address on out, so
-// addr may use port 0 in tests.
-func ListenAndServe(ctx context.Context, cfg Config, addr string, out io.Writer) error {
-	s := New(cfg)
-	defer s.Close()
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	fmt.Fprintf(out, "refocus-serve listening on http://%s\n", ln.Addr())
-	hs := &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return fmt.Errorf("serve: %w", err)
-	case <-ctx.Done():
-		drain, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout+time.Second)
-		defer cancel()
-		if err := hs.Shutdown(drain); err != nil {
-			return fmt.Errorf("serve: shutdown: %w", err)
-		}
-		fmt.Fprintln(out, "refocus-serve drained and stopped")
-		return nil
-	}
 }

@@ -430,7 +430,7 @@ func TestListenAndServeGracefulShutdown(t *testing.T) {
 	defer cancel()
 	out := &syncBuffer{}
 	errc := make(chan error, 1)
-	go func() { errc <- ListenAndServe(ctx, Config{}, "127.0.0.1:0", out) }()
+	go func() { errc <- New(Config{}).ListenAndServe(ctx, "127.0.0.1:0", out) }()
 
 	var base string
 	deadline := time.Now().Add(10 * time.Second)
@@ -466,7 +466,7 @@ func TestListenAndServeGracefulShutdown(t *testing.T) {
 }
 
 func TestListenAndServeBadAddr(t *testing.T) {
-	if err := ListenAndServe(context.Background(), Config{}, "256.0.0.1:bogus", io.Discard); err == nil {
+	if err := New(Config{}).ListenAndServe(context.Background(), "256.0.0.1:bogus", io.Discard); err == nil {
 		t.Error("bad address accepted")
 	}
 }

@@ -80,20 +80,27 @@ func (d *DiskStore) path(key string) string {
 	return filepath.Join(d.dir, hex.EncodeToString(sum[:])+".json")
 }
 
+// load reads and decodes the disk entry at path. A missing, torn or
+// foreign file is not an entry.
+func load(path string) (arch.Report, bool) {
+	var r arch.Report
+	data, err := os.ReadFile(path)
+	if err != nil || json.Unmarshal(data, &r) != nil {
+		return arch.Report{}, false
+	}
+	return r, true
+}
+
 // Get probes the memory tier, then disk. A disk hit is promoted into
-// memory and counted — it is a result this process did not compute.
+// memory and counted — it is a result this process did not compute. An
+// entry that does not decode is a miss, rewritten wholesale by the next
+// Put.
 func (d *DiskStore) Get(key string) (arch.Report, bool) {
 	if r, ok := d.mem.Get(key); ok {
 		return r, true
 	}
-	data, err := os.ReadFile(d.path(key))
-	if err != nil {
-		return arch.Report{}, false
-	}
-	var r arch.Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		// A torn or foreign file is treated as a miss; the entry will be
-		// rewritten wholesale by the next Put.
+	r, ok := load(d.path(key))
+	if !ok {
 		return arch.Report{}, false
 	}
 	d.mem.Put(key, r)
@@ -101,13 +108,14 @@ func (d *DiskStore) Get(key string) (arch.Report, bool) {
 	return r, true
 }
 
-// Put stores the report in memory and on disk. An existing disk entry is
-// left alone — reports are deterministic per key, so the bytes already
-// there are the bytes we would write.
+// Put stores the report in memory and on disk. An existing disk entry
+// that decodes is left alone — reports are deterministic per key, so the
+// bytes already there are the bytes we would write; one that does not
+// decode is replaced.
 func (d *DiskStore) Put(key string, r arch.Report) {
 	d.mem.Put(key, r)
 	path := d.path(key)
-	if _, err := os.Stat(path); err == nil {
+	if _, ok := load(path); ok {
 		return // already persisted by us or another shard
 	}
 	data, err := json.Marshal(r)

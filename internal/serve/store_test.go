@@ -119,11 +119,20 @@ func TestDiskStoreMissAndTornEntry(t *testing.T) {
 	if _, ok := d.Get(key); ok {
 		t.Error("torn entry reported as hit")
 	}
-	// The next Put repairs nothing in place but memory serves it; a fresh
-	// key works end to end.
+	// A fresh key works end to end.
 	d.Put(key+"-fresh", report)
 	if _, ok := d.Get(key + "-fresh"); !ok {
 		t.Error("fresh key missing after Put")
+	}
+	// The next Put over the torn entry repairs it on disk: a new store on
+	// the same directory serves the key as a disk hit.
+	d.Put(key, report)
+	restarted, err := NewDiskStore(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := restarted.Get(key); !ok || restarted.DiskHits() != 1 {
+		t.Errorf("torn entry not repaired by Put: hit=%v disk hits=%d", ok, restarted.DiskHits())
 	}
 }
 
