@@ -19,7 +19,10 @@
 // present only in the PR are reported as new (never a failure);
 // benchmarks that disappeared from the run fail the gate so a renamed or
 // deleted benchmark forces a deliberate -update. -update rewrites the
-// baseline from the current run instead of comparing.
+// baseline from the current run instead of comparing. When the run
+// reported B/op and allocs/op (-benchmem or b.ReportAllocs), -out and
+// -update carry their minimums too, as a report: the gate reads ns/op
+// alone.
 package main
 
 import (
@@ -35,8 +38,9 @@ import (
 
 // benchLine matches one `go test -bench` result line, capturing the
 // benchmark name (with the -GOMAXPROCS suffix stripped), the iteration
-// count, and the ns/op figure.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op`)
+// count, the ns/op figure and, when reported, the B/op and allocs/op
+// figures (which follow any custom metrics).
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op(?:.*\s([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
 
 // baselineFile is the committed BENCH_BASELINE.json shape.
 type baselineFile struct {
@@ -45,11 +49,16 @@ type baselineFile struct {
 	// NsPerOp maps benchmark name (no -GOMAXPROCS suffix) to the minimum
 	// ns/op observed across repeats.
 	NsPerOp map[string]float64
+	// BytesPerOp and AllocsPerOp map the benchmarks that reported them to
+	// the minimum B/op and allocs/op across repeats.
+	BytesPerOp  map[string]float64 `json:",omitempty"`
+	AllocsPerOp map[string]float64 `json:",omitempty"`
 }
 
-// parseBench reduces `go test -bench` output to min ns/op per benchmark.
-func parseBench(r io.Reader) (map[string]float64, error) {
-	out := make(map[string]float64)
+// parseBench reduces `go test -bench` output to the minimum of each
+// figure per benchmark.
+func parseBench(r io.Reader) (baselineFile, error) {
+	out := baselineFile{NsPerOp: map[string]float64{}, BytesPerOp: map[string]float64{}, AllocsPerOp: map[string]float64{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {
@@ -57,19 +66,25 @@ func parseBench(r io.Reader) (map[string]float64, error) {
 		if m == nil {
 			continue
 		}
-		var ns float64
-		if _, err := fmt.Sscanf(m[3], "%g", &ns); err != nil {
-			return nil, fmt.Errorf("benchdiff: bad ns/op %q on line %q", m[3], sc.Text())
-		}
-		if prev, ok := out[m[1]]; !ok || ns < prev {
-			out[m[1]] = ns
+		for i, figure := range []map[string]float64{out.NsPerOp, out.BytesPerOp, out.AllocsPerOp} {
+			text := m[3+i]
+			if text == "" {
+				continue // no -benchmem figures on this line
+			}
+			var v float64
+			if _, err := fmt.Sscanf(text, "%g", &v); err != nil {
+				return baselineFile{}, fmt.Errorf("benchdiff: bad figure %q on line %q", text, sc.Text())
+			}
+			if prev, ok := figure[m[1]]; !ok || v < prev {
+				figure[m[1]] = v
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("benchdiff: reading bench output: %w", err)
+		return baselineFile{}, fmt.Errorf("benchdiff: reading bench output: %w", err)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("benchdiff: no benchmark results found in input")
+	if len(out.NsPerOp) == 0 {
+		return baselineFile{}, fmt.Errorf("benchdiff: no benchmark results found in input")
 	}
 	return out, nil
 }
@@ -148,12 +163,12 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	regen := "go test -bench . -benchtime 3x -count 5 -run '^$' ./internal/dsp ./internal/jtc | go run ./cmd/benchdiff -update"
+	current.Regenerate = "go test -bench . -benchtime 3x -count 5 -benchmem -run '^$' ./internal/dsp ./internal/jtc ./internal/arch ./internal/cluster ./internal/opt | go run ./cmd/benchdiff -update"
 	if *update {
-		if err := writeJSON(*baselinePath, baselineFile{Regenerate: regen, NsPerOp: current}); err != nil {
+		if err := writeJSON(*baselinePath, current); err != nil {
 			return fmt.Errorf("benchdiff: writing baseline: %w", err)
 		}
-		fmt.Fprintf(stdout, "benchdiff: wrote %d benchmarks to %s\n", len(current), *baselinePath)
+		fmt.Fprintf(stdout, "benchdiff: wrote %d benchmarks to %s\n", len(current.NsPerOp), *baselinePath)
 		return nil
 	}
 	data, err := os.ReadFile(*baselinePath)
@@ -165,16 +180,16 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return fmt.Errorf("benchdiff: parsing baseline %s: %w", *baselinePath, err)
 	}
 	if *outPath != "" {
-		if err := writeJSON(*outPath, baselineFile{Regenerate: regen, NsPerOp: current}); err != nil {
+		if err := writeJSON(*outPath, current); err != nil {
 			return fmt.Errorf("benchdiff: writing %s: %w", *outPath, err)
 		}
 	}
-	regressed, missing := compare(base.NsPerOp, current, *tolerance, stdout)
+	regressed, missing := compare(base.NsPerOp, current.NsPerOp, *tolerance, stdout)
 	if len(regressed) > 0 || len(missing) > 0 {
 		return fmt.Errorf("benchdiff: %d regressed, %d missing (tolerance %.0f%%; refresh with -update if intended)",
 			len(regressed), len(missing), 100**tolerance)
 	}
-	fmt.Fprintf(stdout, "benchdiff: %d benchmarks within %.0f%% of baseline\n", len(current), 100**tolerance)
+	fmt.Fprintf(stdout, "benchdiff: %d benchmarks within %.0f%% of baseline\n", len(current.NsPerOp), 100**tolerance)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,10 +20,11 @@ ok  	refocus/internal/dsp	1.234s
 `
 
 func TestParseBenchTakesMinAcrossRepeats(t *testing.T) {
-	got, err := parseBench(strings.NewReader(sampleBench))
+	run, err := parseBench(strings.NewReader(sampleBench))
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := run.NsPerOp
 	if len(got) != 2 {
 		t.Fatalf("parsed %d benchmarks, want 2: %v", len(got), got)
 	}
@@ -31,6 +33,12 @@ func TestParseBenchTakesMinAcrossRepeats(t *testing.T) {
 	}
 	if got["BenchmarkConvFFT256x9"] != 1.2e6 {
 		t.Errorf("ConvFFT ns/op = %g, want 1.2e6", got["BenchmarkConvFFT256x9"])
+	}
+	if b, a := run.BytesPerOp["BenchmarkConvFFT256x9"], run.AllocsPerOp["BenchmarkConvFFT256x9"]; b != 12 || a != 3 {
+		t.Errorf("ConvFFT = %g B/op, %g allocs/op, want 12 and 3", b, a)
+	}
+	if _, ok := run.AllocsPerOp["BenchmarkFFTPlannedPow2_256"]; ok || len(run.BytesPerOp) != 1 {
+		t.Errorf("memory figures invented for a line without them: %v %v", run.BytesPerOp, run.AllocsPerOp)
 	}
 }
 
@@ -88,8 +96,16 @@ func TestUpdateThenCompareRoundTrip(t *testing.T) {
 	if !strings.Contains(err.Error(), "1 regressed") {
 		t.Errorf("error = %v, want exactly one regression", err)
 	}
-	if _, statErr := os.Stat(prOut); statErr != nil {
-		t.Errorf("-out artifact should be written even on failure: %v", statErr)
+	data, err := os.ReadFile(prOut)
+	if err != nil {
+		t.Fatalf("-out artifact should be written even on failure: %v", err)
+	}
+	var artifact baselineFile
+	if err := json.Unmarshal(data, &artifact); err != nil {
+		t.Fatal(err)
+	}
+	if artifact.NsPerOp["BenchmarkFFTPlannedPow2_256"] != 8900 || artifact.AllocsPerOp["BenchmarkConvFFT256x9"] != 3 || artifact.BytesPerOp["BenchmarkConvFFT256x9"] != 12 {
+		t.Errorf("-out artifact lacks the run's figures: %s", data)
 	}
 }
 

@@ -266,6 +266,13 @@ func TestCoordinatorEdgeValidation(t *testing.T) {
 		{"over-limit spec", `{"Preset": "fb", "NetworkSpec": {"Name": "big", "Layers": [
 			{"Kind": "fc", "Name": "f", "In": 8, "Out": 8, "Tokens": 1, "Repeat": 2}]}}`,
 			http.StatusUnprocessableEntity},
+		{"unknown network", `{"Preset": "fb", "Network": "LeNet"}`, http.StatusBadRequest},
+		{"network and spec", `{"Preset": "fb", "Network": "ResNet-18", "NetworkSpec": {"Name": "s", "Layers": [
+			{"Kind": "fc", "Name": "f", "In": 8, "Out": 8, "Tokens": 1, "Repeat": 1}]}}`,
+			http.StatusBadRequest},
+		{"malformed inline layer", `{"Preset": "fb", "NetworkSpec": {"Name": "s", "Layers": [
+			{"Kind": "fc", "Name": "f", "In": 8, "Out": 8, "Tokens": 1, "Repeat": 1, "KH": 3}]}}`,
+			http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		status, body := postJSON(t, url+"/v1/evaluate", tc.body)

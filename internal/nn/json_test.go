@@ -324,3 +324,64 @@ func TestMustNetworkHashMatchesNetworkHash(t *testing.T) {
 	}()
 	MustNetworkHash(Network{Name: "bad", Layers: []Layer{{}}})
 }
+
+// TestWorkloadHashesMatchFreshEncoding: the hashes the registry computes
+// when it loads are NetworkHash of a fresh ByName clone, for every name
+// in any case, for "all", and in Hashes; and mutating a returned clone
+// leaves the registry's hash as it was.
+func TestWorkloadHashesMatchFreshEncoding(t *testing.T) {
+	fresh := func(name string) string {
+		n, ok := ByName(name)
+		if !ok {
+			t.Fatalf("ByName(%q) missed", name)
+		}
+		h, err := NetworkHash(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	all := Hashes()
+	for i, name := range Names() {
+		if want := fresh(name); all[i] != want {
+			t.Errorf("Hashes()[%d] (%s) = %s, want %s", i, name, all[i], want)
+		}
+		for _, spelled := range []string{name, strings.ToLower(name), strings.ToUpper(name)} {
+			nets, hashes, ok := Workload(spelled)
+			if !ok || len(nets) != 1 || len(hashes) != 1 {
+				t.Fatalf("Workload(%q) = %d networks, %d hashes, ok %v", spelled, len(nets), len(hashes), ok)
+			}
+			if nets[0].Name != name || hashes[0] != fresh(name) {
+				t.Errorf("Workload(%q) = %s %s, want %s %s", spelled, nets[0].Name, hashes[0], name, fresh(name))
+			}
+		}
+	}
+	for _, spelled := range []string{"all", "ALL", "All"} {
+		nets, hashes, ok := Workload(spelled)
+		if !ok || len(nets) != 5 || len(hashes) != 5 {
+			t.Fatalf("Workload(%q) = %d networks, %d hashes, ok %v", spelled, len(nets), len(hashes), ok)
+		}
+		for i, n := range Benchmarks() {
+			if nets[i].Name != n.Name || hashes[i] != fresh(n.Name) {
+				t.Errorf("Workload(%q)[%d] = %s %s, want %s %s", spelled, i, nets[i].Name, hashes[i], n.Name, fresh(n.Name))
+			}
+		}
+	}
+	if _, _, ok := Workload("LeNet"); ok {
+		t.Error("Workload accepted LeNet")
+	}
+
+	before := fresh("ResNet-50")
+	nets, _, _ := Workload("ResNet-50")
+	nets[0].Layers[0].Conv.Repeat += 7
+	nets[0].Layers = nets[0].Layers[1:]
+	if got := fresh("ResNet-50"); got != before {
+		t.Errorf("mutating a Workload clone moved the fresh hash: %s -> %s", before, got)
+	}
+	if _, hashes, _ := Workload("ResNet-50"); hashes[0] != before {
+		t.Errorf("mutating a Workload clone moved the registry hash: %s -> %s", before, hashes[0])
+	}
+	if mutated, _ := NetworkHash(nets[0]); mutated == before {
+		t.Error("the mutation did not change the clone's own hash")
+	}
+}

@@ -32,17 +32,27 @@ var registryFiles = []string{
 	"fnet-base.json",
 }
 
+// numBenchmarks is how many registry entries, from the first, are the
+// paper's evaluation networks: the workload "all" names.
+const numBenchmarks = 5
+
+// entry is one registry network and its canonical hash (NetworkHash).
+type entry struct {
+	Network
+	hash string
+}
+
 var (
 	registryOnce sync.Once
-	registryNets []Network
+	registryNets []entry
 )
 
-// registry parses the embedded specs once. A failure here is a bug in the
-// shipped data (the files are generated by the codec and round-tripped in
-// CI), so it panics like the old compiled-in tables did.
-func registry() []Network {
+// registry parses and hashes the embedded specs once. A failure here is a
+// bug in the shipped data (the files are generated by the codec and
+// round-tripped in CI), so it panics like the old compiled-in tables did.
+func registry() []entry {
 	registryOnce.Do(func() {
-		registryNets = make([]Network, 0, len(registryFiles))
+		registryNets = make([]entry, 0, len(registryFiles))
 		for _, f := range registryFiles {
 			data, err := networkFS.ReadFile("networks/" + f)
 			if err != nil {
@@ -52,7 +62,7 @@ func registry() []Network {
 			if err != nil {
 				panic("nn: embedded network spec " + f + ": " + err.Error())
 			}
-			registryNets = append(registryNets, n)
+			registryNets = append(registryNets, entry{Network: n, hash: MustNetworkHash(n)})
 		}
 	})
 	return registryNets
@@ -84,48 +94,88 @@ func (n Network) clone() Network {
 	return out
 }
 
-// Networks returns every registered workload in curated order (the five
-// CNN benchmarks in the paper's order, then the transformer networks).
-func Networks() []Network {
-	reg := registry()
-	out := make([]Network, len(reg))
-	for i, n := range reg {
-		out[i] = n.clone()
+// clones deep-copies the networks of entries.
+func clones(entries []entry) []Network {
+	out := make([]Network, len(entries))
+	for i, e := range entries {
+		out[i] = e.clone()
 	}
 	return out
+}
+
+// Networks returns every registered workload in curated order (the five
+// CNN benchmarks in the paper's order, then the transformer networks).
+func Networks() []Network { return clones(registry()) }
+
+// hashesOf returns the hashes of entries.
+func hashesOf(entries []entry) []string {
+	out := make([]string, len(entries))
+	for i, e := range entries {
+		out[i] = e.hash
+	}
+	return out
+}
+
+// Hashes returns the canonical hash (NetworkHash) of every registered
+// workload, in Networks' order. The registry computes them once, when it
+// loads.
+func Hashes() []string { return hashesOf(registry()) }
+
+// Workload resolves a workload name: one registered network
+// (case-insensitive), or the five Benchmarks for "all". It returns deep
+// clones of the networks and, index-aligned, their canonical hashes as
+// the registry computed them when it loaded, so no caller re-encodes a
+// registry network to learn its identity. ok is false for an unknown
+// name.
+func Workload(name string) (nets []Network, hashes []string, ok bool) {
+	sel := registry()[:numBenchmarks]
+	if !strings.EqualFold(name, "all") {
+		i := index(name)
+		if i < 0 {
+			return nil, nil, false
+		}
+		sel = registry()[i : i+1]
+	}
+	return clones(sel), hashesOf(sel), true
+}
+
+// index returns the registry position of a network name
+// (case-insensitive), or -1.
+func index(name string) int {
+	for i, e := range registry() {
+		if strings.EqualFold(e.Name, name) {
+			return i
+		}
+	}
+	return -1
 }
 
 // Names returns the registered network names in curated order.
 func Names() []string {
 	reg := registry()
 	out := make([]string, len(reg))
-	for i, n := range reg {
-		out[i] = n.Name
+	for i, e := range reg {
+		out[i] = e.Name
 	}
 	return out
 }
 
 // Benchmarks returns the paper's five evaluation networks in its order.
-func Benchmarks() []Network {
-	return Networks()[:5]
-}
+func Benchmarks() []Network { return clones(registry()[:numBenchmarks]) }
 
 // Table4Networks returns the four networks the paper's Table-4
 // design-space exploration geo-means over (§5.4.1).
-func Table4Networks() []Network {
-	return Networks()[1:5]
-}
+func Table4Networks() []Network { return clones(registry()[1:numBenchmarks]) }
 
 // ByName looks up a registered network case-insensitively ("resnet-50"
 // finds "ResNet-50"), returning false when unknown. For an error that
 // lists the valid names, use Lookup.
 func ByName(name string) (Network, bool) {
-	for _, n := range registry() {
-		if strings.EqualFold(n.Name, name) {
-			return n.clone(), true
-		}
+	i := index(name)
+	if i < 0 {
+		return Network{}, false
 	}
-	return Network{}, false
+	return registry()[i].clone(), true
 }
 
 // Lookup is ByName with a self-describing miss: the error enumerates the

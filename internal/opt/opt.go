@@ -317,11 +317,18 @@ func (s Spec) ResolveConfig() (arch.SystemConfig, error) {
 // ResolveNetworks resolves the spec's workload name to the network set
 // objectives are measured on.
 func (s Spec) ResolveNetworks() ([]nn.Network, error) {
+	nets, _, err := s.workload()
+	return nets, err
+}
+
+// workload resolves the spec's workload name to its networks and their
+// canonical hashes, as the registry computed them.
+func (s Spec) workload() ([]nn.Network, []string, error) {
 	name := s.Network
 	if name == "" {
 		name = DefaultNetwork
 	}
-	return sim.ResolveNetworks(name)
+	return sim.ResolveWorkload(name)
 }
 
 // searchIdentity is the hashed form of a spec: the base design point and
@@ -357,13 +364,14 @@ func (s Spec) ID() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	nets, err := s.ResolveNetworks()
+	_, netHashes, err := s.workload()
 	if err != nil {
 		return "", err
 	}
 	idt := searchIdentity{
 		Name:          s.Name,
 		ConfigHash:    cfgHash,
+		NetworkHashes: netHashes,
 		Space:         s.Space,
 		Objectives:    s.Objectives,
 		AreaBudgetMM2: s.AreaBudgetMM2,
@@ -374,13 +382,6 @@ func (s Spec) ID() (string, error) {
 		Seed:          s.Seed,
 		YieldTrials:   s.YieldTrials,
 		Model:         s.Model,
-	}
-	for _, net := range nets {
-		h, err := nn.NetworkHash(net)
-		if err != nil {
-			return "", err
-		}
-		idt.NetworkHashes = append(idt.NetworkHashes, h)
 	}
 	data, err := json.Marshal(idt)
 	if err != nil {

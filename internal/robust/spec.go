@@ -245,11 +245,18 @@ func (s Spec) ResolveConfig() (arch.SystemConfig, error) {
 // ResolveNetworks resolves the spec's workload name to the network set
 // trial throughput is measured on.
 func (s Spec) ResolveNetworks() ([]nn.Network, error) {
+	nets, _, err := s.workload()
+	return nets, err
+}
+
+// workload resolves the spec's workload name to its networks and their
+// canonical hashes, as the registry computed them.
+func (s Spec) workload() ([]nn.Network, []string, error) {
 	name := s.Network
 	if name == "" {
 		name = DefaultNetwork
 	}
-	return sim.ResolveNetworks(name)
+	return sim.ResolveWorkload(name)
 }
 
 // ScaledModel returns the fault model at one severity multiplier:
@@ -300,27 +307,21 @@ func (s Spec) ID() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	nets, err := s.ResolveNetworks()
+	_, netHashes, err := s.workload()
 	if err != nil {
 		return "", err
 	}
 	idt := campaignIdentity{
-		Name:       s.Name,
-		ConfigHash: cfgHash,
-		Model:      s.Model,
-		Severities: s.Severities,
-		Trials:     s.Trials,
-		Seed:       s.Seed,
-		Retrain:    s.Retrain,
-		Device:     s.Device,
-		Task:       s.Task,
-	}
-	for _, net := range nets {
-		h, err := nn.NetworkHash(net)
-		if err != nil {
-			return "", err
-		}
-		idt.NetworkHashes = append(idt.NetworkHashes, h)
+		Name:          s.Name,
+		ConfigHash:    cfgHash,
+		NetworkHashes: netHashes,
+		Model:         s.Model,
+		Severities:    s.Severities,
+		Trials:        s.Trials,
+		Seed:          s.Seed,
+		Retrain:       s.Retrain,
+		Device:        s.Device,
+		Task:          s.Task,
 	}
 	data, err := json.Marshal(idt)
 	if err != nil {

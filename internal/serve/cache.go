@@ -7,8 +7,9 @@ import (
 	"refocus/internal/arch"
 )
 
-// reportCache is a mutex-guarded LRU of evaluation results keyed by
-// sim.CacheKey (canonical config hash + network hash). Reports are
+// reportCache is a mutex-guarded LRU of evaluation results keyed by a
+// request's cache keys (resolveRequest: canonical config hash, optional
+// fault-set hash, network hash). Reports are
 // deterministic for a given key — arch.Evaluate is a pure function of
 // (config, network) — so a hit is bit-identical to re-evaluating, and
 // the cache never needs invalidation, only capacity eviction.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"refocus/internal/arch"
 	"refocus/internal/nn"
 )
 
@@ -69,50 +68,4 @@ func (l SpecLimits) check(net nn.Network) error {
 			net.Name, gmacs, l.MaxGMACs))
 	}
 	return nil
-}
-
-// RouteKey returns the canonical routing identity of one evaluate
-// request: the resolved config hash, the fault-set hash when a non-zero
-// fault set rides along, and the hash of every network the request
-// evaluates, joined with "|". Requests that resolve to the same design
-// point, fault set and workloads share a key however they were spelled —
-// the same invariance sim.CacheKey gives a single (config, network)
-// pair. The cluster coordinator places requests on worker shards by this
-// key, so all cache keys of one request land on one shard and repeats
-// land where their results already are. Validation failures come back
-// with the same status tags the evaluate handler would use (400 for bad
-// requests, 422 for specs past lim), letting the coordinator reject bad
-// points at the edge without burning a shard round trip.
-func RouteKey(req EvaluateRequest, lim SpecLimits) (string, error) {
-	cfg, err := resolveRequestConfig(req)
-	if err != nil {
-		return "", badRequest(err)
-	}
-	fs, err := resolveRequestFaults(req, cfg)
-	if err != nil {
-		return "", badRequest(err)
-	}
-	nets, err := resolveRequestNetworks(req, lim)
-	if err != nil {
-		return "", err
-	}
-	key, err := arch.ConfigHash(cfg)
-	if err != nil {
-		return "", err
-	}
-	if fs != nil {
-		fsHash, err := fs.Hash()
-		if err != nil {
-			return "", err
-		}
-		key += "|" + fsHash
-	}
-	for _, net := range nets {
-		netHash, err := nn.NetworkHash(net)
-		if err != nil {
-			return "", err
-		}
-		key += "|" + netHash
-	}
-	return key, nil
 }

@@ -3,9 +3,13 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"refocus/internal/arch"
+	"refocus/internal/faults"
 	"refocus/internal/nn"
 )
 
@@ -135,5 +139,93 @@ func TestRouteKeyErrorsKeepStatusTags(t *testing.T) {
 		NetworkSpec: json.RawMessage(tinySpec)}, SpecLimits{MaxLayers: 1})
 	if err == nil || StatusOf(err) != http.StatusUnprocessableEntity {
 		t.Errorf("over-limit spec: status %d, err %v", StatusOf(err), err)
+	}
+}
+
+// keyLog is a ResultStore that records every key the worker looks up.
+type keyLog struct {
+	ResultStore
+	mu   sync.Mutex
+	keys []string
+}
+
+func (k *keyLog) Get(key string) (arch.Report, bool) {
+	k.mu.Lock()
+	k.keys = append(k.keys, key)
+	k.mu.Unlock()
+	return k.ResultStore.Get(key)
+}
+
+// TestRouteKeyIsWorkerCacheIdentity: for a registry network, "all", a
+// faulted request and an inline spec byte-identical to a registry entry,
+// the worker looks its cache up under configHash[|faultHash]|netHash for
+// each network, with the response's ConfigHash, the fault set's own hash
+// and each network's fresh NetworkHash, and RouteKey of the same request
+// is those keys' prefix joined with every network hash.
+func TestRouteKeyIsWorkerCacheIdentity(t *testing.T) {
+	spec, err := nn.NetworkJSON(nn.ResNet50())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		req  EvaluateRequest
+	}{
+		{"registry", EvaluateRequest{Preset: "fb", Network: "resnet-50"}},
+		{"all", EvaluateRequest{Preset: "ff", Network: "all"}},
+		{"faulted", EvaluateRequest{Preset: "fb", Network: "BERT-base",
+			Faults: json.RawMessage(`{"DeadRFCUs": [1], "BufferExcessLossDB": 0.2}`)}},
+		{"inline", EvaluateRequest{Preset: "fb", NetworkSpec: spec}},
+	}
+	for _, tc := range cases {
+		log := &keyLog{ResultStore: newReportCache(64)}
+		_, url := testServer(t, Config{Store: log})
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		status, data := post(t, url+"/v1/evaluate", string(body))
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d\n%s", tc.name, status, data)
+		}
+		var resp EvaluateResponse
+		if err := json.Unmarshal(data, &resp); err != nil {
+			t.Fatal(err)
+		}
+		prefix := resp.ConfigHash
+		if tc.req.Faults != nil {
+			fs, err := faults.Parse(tc.req.Faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fsHash, err := fs.Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			prefix += "|" + fsHash
+		}
+		var want []string
+		for i, name := range resp.Networks {
+			net, ok := nn.ByName(name)
+			if !ok {
+				t.Fatalf("%s: response names unknown network %q", tc.name, name)
+			}
+			if h := nn.MustNetworkHash(net); resp.NetworkHashes[i] != h {
+				t.Errorf("%s: NetworkHashes[%d] = %s, want %s", tc.name, i, resp.NetworkHashes[i], h)
+			}
+			want = append(want, prefix+"|"+resp.NetworkHashes[i])
+		}
+		log.mu.Lock()
+		got := slices.Clone(log.keys)
+		log.mu.Unlock()
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: worker cache keys\n%q\nwant\n%q", tc.name, got, want)
+		}
+		if rk := routeKey(t, tc.req); rk != prefix+"|"+strings.Join(resp.NetworkHashes, "|") {
+			t.Errorf("%s: RouteKey %s is not the cache keys' identity %s|%s", tc.name, rk, prefix, strings.Join(resp.NetworkHashes, "|"))
+		}
+	}
+	if routeKey(t, cases[0].req) != routeKey(t, cases[3].req) {
+		t.Error("inline spec of ResNet-50 and the registry name route apart")
 	}
 }

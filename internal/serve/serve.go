@@ -29,6 +29,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -437,44 +438,23 @@ func (s *Server) evaluatePoint(ctx context.Context, req EvaluateRequest) (Evalua
 		return EvaluateResponse{}, err
 	}
 	resolveSpan := obs.StartSpan(ctx, "serve.resolve")
-	cfg, err := resolveRequestConfig(req)
-	if err != nil {
-		resolveSpan.End()
-		return EvaluateResponse{}, badRequest(err)
-	}
-	fs, err := resolveRequestFaults(req, cfg)
-	if err != nil {
-		resolveSpan.End()
-		return EvaluateResponse{}, badRequest(err)
-	}
-	nets, err := resolveRequestNetworks(req, s.cfg.Limits)
-	if err != nil {
-		resolveSpan.End()
-		return EvaluateResponse{}, badRequest(err)
-	}
-	hash, err := arch.ConfigHash(cfg)
-	resolveSpan.SetAttr("config", cfg.Name)
+	r, err := resolveRequest(req, s.cfg.Limits)
+	resolveSpan.SetAttr("config", r.cfg.Name)
 	resolveSpan.End()
 	if err != nil {
 		return EvaluateResponse{}, err
 	}
 	resp := EvaluateResponse{
-		Config:        cfg.Name,
-		ConfigHash:    hash,
-		Networks:      make([]string, len(nets)),
-		NetworkHashes: make([]string, len(nets)),
-		Reports:       make([]arch.Report, len(nets)),
+		Config:        r.cfg.Name,
+		ConfigHash:    r.cfgHash,
+		Networks:      make([]string, len(r.nets)),
+		NetworkHashes: r.hashes,
+		Reports:       make([]arch.Report, len(r.nets)),
 	}
-	keyPrefix := hash
-	if fs != nil {
-		fsHash, err := fs.Hash()
-		if err != nil {
-			return EvaluateResponse{}, err
-		}
-		keyPrefix = hash + "|" + fsHash
+	if r.faults != nil {
 		// The remapping record is cheap to recompute, so full cache hits
 		// still answer with an honest Degradation block.
-		_, deg, err := fs.Degrade(cfg)
+		_, deg, err := r.faults.Degrade(r.cfg)
 		if err != nil {
 			return EvaluateResponse{}, badRequest(err)
 		}
@@ -485,17 +465,11 @@ func (s *Server) evaluatePoint(ctx context.Context, req EvaluateRequest) (Evalua
 	var missing []nn.Network
 	var missingIdx []int
 	var missingKeys []string
-	for i, net := range nets {
+	for i, net := range r.nets {
 		resp.Networks[i] = net.Name
-		netHash, err := nn.NetworkHash(net)
-		if err != nil {
-			lookupSpan.End()
-			return EvaluateResponse{}, err
-		}
-		resp.NetworkHashes[i] = netHash
-		key := keyPrefix + "|" + netHash
-		if r, ok := s.cache.Get(key); ok {
-			resp.Reports[i] = r
+		key := r.prefix + "|" + r.hashes[i]
+		if rep, ok := s.cache.Get(key); ok {
+			resp.Reports[i] = rep
 			resp.CacheHits++
 		} else {
 			missing = append(missing, net)
@@ -527,8 +501,8 @@ func (s *Server) evaluatePoint(ctx context.Context, req EvaluateRequest) (Evalua
 		evalSpan.SetAttr("networks", len(missing))
 		evalStart := time.Now()
 		var reports []arch.Report
-		if fs != nil {
-			degraded, derr := faults.EvaluateAllCtx(ctx, cfg, *fs, missing)
+		if r.faults != nil {
+			degraded, derr := faults.EvaluateAllCtx(ctx, r.cfg, *r.faults, missing)
 			err = derr
 			if derr == nil {
 				reports = make([]arch.Report, len(degraded))
@@ -537,7 +511,7 @@ func (s *Server) evaluatePoint(ctx context.Context, req EvaluateRequest) (Evalua
 				}
 			}
 		} else {
-			reports, err = arch.EvaluateAllCtx(ctx, cfg, missing)
+			reports, err = arch.EvaluateAllCtx(ctx, r.cfg, missing)
 		}
 		s.metrics.evaluate.Observe(time.Since(evalStart).Seconds())
 		evalSpan.End()
@@ -546,9 +520,9 @@ func (s *Server) evaluatePoint(ctx context.Context, req EvaluateRequest) (Evalua
 			return EvaluateResponse{}, badRequest(err)
 		}
 		s.metrics.evaluations.Add(int64(len(missing)))
-		for j, r := range reports {
-			resp.Reports[missingIdx[j]] = r
-			s.cache.Put(missingKeys[j], r)
+		for j, rep := range reports {
+			resp.Reports[missingIdx[j]] = rep
+			s.cache.Put(missingKeys[j], rep)
 		}
 	}
 	return resp, nil
@@ -569,28 +543,101 @@ func (s *Server) handlePresets(w http.ResponseWriter, r *http.Request) {
 }
 
 // resolveRequestNetworks turns a request's workload naming into the
-// network set to evaluate: an inline NetworkSpec (strictly parsed,
-// validated, and checked against the resource limits), or a registered
-// name / "all" (empty defaults to "all").
-func resolveRequestNetworks(req EvaluateRequest, lim SpecLimits) ([]nn.Network, error) {
+// network set to evaluate and, index-aligned, the networks' canonical
+// hashes: an inline NetworkSpec (strictly parsed, validated, checked
+// against the resource limits and hashed), or a registered name / "all"
+// (empty defaults to "all"), whose hashes the registry computed once.
+func resolveRequestNetworks(req EvaluateRequest, lim SpecLimits) ([]nn.Network, []string, error) {
 	if len(req.NetworkSpec) > 0 {
 		if req.Network != "" {
-			return nil, errors.New("serve: request names both Network and NetworkSpec; pick one")
+			return nil, nil, errors.New("serve: request names both Network and NetworkSpec; pick one")
 		}
 		net, err := nn.ParseNetwork(req.NetworkSpec)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if err := lim.check(net); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return []nn.Network{net}, nil
+		hash, err := nn.NetworkHash(net)
+		if err != nil {
+			return nil, nil, err
+		}
+		return []nn.Network{net}, []string{hash}, nil
 	}
 	network := req.Network
 	if network == "" {
 		network = "all"
 	}
-	return sim.ResolveNetworks(network)
+	return sim.ResolveWorkload(network)
+}
+
+// resolvedRequest is an evaluate request resolved and validated: its
+// design point and config hash, its fault set (nil for the healthy
+// machine), and its networks with their canonical hashes. prefix is the
+// config hash, joined with the fault set's hash when one rides along, so
+// the cache key of network i is prefix|hashes[i] and degraded reports
+// never alias healthy ones.
+type resolvedRequest struct {
+	cfg     arch.SystemConfig
+	cfgHash string
+	faults  *faults.FaultSet
+	nets    []nn.Network
+	hashes  []string
+	prefix  string
+}
+
+// resolveRequest is the one resolution of an evaluate request, shared by
+// the worker (evaluatePoint) and the coordinator (RouteKey). Every error
+// is the request's own and comes back tagged 400, unless it already
+// carries a more specific tag (the spec limits' 422).
+func resolveRequest(req EvaluateRequest, lim SpecLimits) (r resolvedRequest, err error) {
+	defer func() {
+		if err != nil {
+			err = badRequest(err)
+		}
+	}()
+	if r.cfg, err = resolveRequestConfig(req); err != nil {
+		return r, err
+	}
+	if r.faults, err = resolveRequestFaults(req, r.cfg); err != nil {
+		return r, err
+	}
+	if r.nets, r.hashes, err = resolveRequestNetworks(req, lim); err != nil {
+		return r, err
+	}
+	if r.cfgHash, err = arch.ConfigHash(r.cfg); err != nil {
+		return r, err
+	}
+	r.prefix = r.cfgHash
+	if r.faults != nil {
+		fsHash, err := r.faults.Hash()
+		if err != nil {
+			return r, err
+		}
+		r.prefix += "|" + fsHash
+	}
+	return r, nil
+}
+
+// RouteKey returns the canonical routing identity of one evaluate
+// request: its cache-key prefix (the config hash, plus the fault-set hash
+// when a non-zero fault set rides along) joined with the hash of every
+// network it evaluates by "|". It comes from the same resolveRequest the
+// worker keys its cache with, so requests that resolve to the same design
+// point, fault set and workloads share a key however they were spelled,
+// and the cluster coordinator, placing requests on worker shards by this
+// key, sends all cache keys of one request to one shard and repeats to
+// where their results already are. Validation failures carry the
+// evaluate handler's status tags (400, or 422 for specs past lim), so
+// the coordinator rejects bad points at the edge without a shard round
+// trip.
+func RouteKey(req EvaluateRequest, lim SpecLimits) (string, error) {
+	r, err := resolveRequest(req, lim)
+	if err != nil {
+		return "", err
+	}
+	return r.prefix + "|" + strings.Join(r.hashes, "|"), nil
 }
 
 // NetworkInfo is one /v1/networks vocabulary entry: a registered workload,
@@ -616,14 +663,10 @@ type NetworksResponse struct {
 // handleNetworks serves GET /v1/networks: the workload registry.
 func (s *Server) handleNetworks(w http.ResponseWriter, r *http.Request) {
 	resp := NetworksResponse{}
-	for _, n := range nn.Networks() {
-		hash, err := nn.NetworkHash(n)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
+	hashes := nn.Hashes()
+	for i, n := range nn.Networks() {
 		seen := map[nn.LayerKind]bool{}
-		info := NetworkInfo{Name: n.Name, Hash: hash, Layers: n.LayerCount(), GMACs: n.TotalMACs() / 1e9}
+		info := NetworkInfo{Name: n.Name, Hash: hashes[i], Layers: n.LayerCount(), GMACs: n.TotalMACs() / 1e9}
 		for _, l := range n.Layers {
 			if k := l.Kind(); !seen[k] {
 				seen[k] = true

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -121,6 +122,11 @@ func TestSweepStreamQueryParam(t *testing.T) {
 	}
 	if line.Error != "" || line.Index != 0 {
 		t.Errorf("unexpected line: %+v", line)
+	}
+	// The line is flushed before the handler returns; the middleware
+	// counts the request after it returns, and before the stream ends.
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
 	}
 	if got := s.MetricsSnapshot(); got.Endpoints["/v1/sweep"].Requests != 1 {
 		t.Errorf("sweep endpoint not instrumented: %+v", got.Endpoints)

@@ -128,14 +128,19 @@ func LoadConfig(data []byte) (arch.SystemConfig, error) {
 // one registered network (case-insensitive), or the paper's five CNN
 // benchmarks for "all". A miss lists every valid name.
 func ResolveNetworks(name string) ([]nn.Network, error) {
-	if strings.EqualFold(name, "all") {
-		return nn.Benchmarks(), nil
-	}
-	net, ok := nn.ByName(name)
+	nets, _, err := ResolveWorkload(name)
+	return nets, err
+}
+
+// ResolveWorkload is ResolveNetworks with each network's canonical hash
+// (nn.NetworkHash), index-aligned. The hashes come from the registry,
+// which computes them once when it loads.
+func ResolveWorkload(name string) ([]nn.Network, []string, error) {
+	nets, hashes, ok := nn.Workload(name)
 	if !ok {
-		return nil, fmt.Errorf("sim: unknown network %q (known: %s, or \"all\")", name, strings.Join(nn.Names(), ", "))
+		return nil, nil, fmt.Errorf("sim: unknown network %q (known: %s, or \"all\")", name, strings.Join(nn.Names(), ", "))
 	}
-	return []nn.Network{net}, nil
+	return nets, hashes, nil
 }
 
 // LoadNetworkFile reads and strictly parses a JSON network spec.
@@ -371,9 +376,10 @@ func ListKnown(out io.Writer) {
 // the identities the serving cache and -dump-network round-trips key on.
 func ListNetworks(out io.Writer) {
 	fmt.Fprintln(out, "name        layers  GMACs     hash")
-	for _, n := range nn.Networks() {
+	hashes := nn.Hashes()
+	for i, n := range nn.Networks() {
 		fmt.Fprintf(out, "%-11s %5d  %8.2f  %s\n",
-			n.Name, n.LayerCount(), n.TotalMACs()/1e9, nn.MustNetworkHash(n))
+			n.Name, n.LayerCount(), n.TotalMACs()/1e9, hashes[i])
 	}
 }
 
