@@ -35,57 +35,6 @@ func (p *Plan) ExecuteBatch(flat []complex128) {
 	p.scratch.Put(buf)
 }
 
-// ForwardBatch transforms len(src)/Len() real rows stored back-to-back in
-// src, writing each row's half spectrum (SpectrumLen() bins) back-to-back
-// into dst. len(dst) must equal rows·SpectrumLen(). Scratch is acquired
-// once for the whole batch.
-func (p *RealPlan) ForwardBatch(dst []complex128, src []float64) {
-	n, hw := p.n, p.SpectrumLen()
-	if len(src)%n != 0 {
-		panic(fmt.Sprintf("dsp: real batch length %d is not a multiple of plan length %d", len(src), n))
-	}
-	count := len(src) / n
-	if len(dst) != count*hw {
-		panic(fmt.Sprintf("dsp: real batch spectrum length %d, want %d rows × %d bins", len(dst), count, hw))
-	}
-	if n == 1 {
-		for i, v := range src {
-			dst[i] = complex(v, 0)
-		}
-		return
-	}
-	buf := p.scratch.Get().(*[]complex128)
-	for i := 0; i < count; i++ {
-		p.forward(dst[i*hw:(i+1)*hw], src[i*n:(i+1)*n], *buf)
-	}
-	p.scratch.Put(buf)
-}
-
-// InverseBatch inverts len(dst)/Len() half spectra stored back-to-back in
-// src (SpectrumLen() bins each) into their real rows, stored back-to-back
-// in dst. The mirror of ForwardBatch.
-func (p *RealPlan) InverseBatch(dst []float64, src []complex128) {
-	n, hw := p.n, p.SpectrumLen()
-	if len(dst)%n != 0 {
-		panic(fmt.Sprintf("dsp: real batch length %d is not a multiple of plan length %d", len(dst), n))
-	}
-	count := len(dst) / n
-	if len(src) != count*hw {
-		panic(fmt.Sprintf("dsp: real batch spectrum length %d, want %d rows × %d bins", len(src), count, hw))
-	}
-	if n == 1 {
-		for i, v := range src {
-			dst[i] = real(v)
-		}
-		return
-	}
-	buf := p.scratch.Get().(*[]complex128)
-	for i := 0; i < count; i++ {
-		p.inverse(dst[i*n:(i+1)*n], src[i*hw:(i+1)*hw], *buf)
-	}
-	p.scratch.Put(buf)
-}
-
 // Batch stages many same-length complex rows in one flat buffer and
 // transforms them all with a single cache-blocked plan invocation. The
 // intended shape is: Next() for each row (filling the returned slice),

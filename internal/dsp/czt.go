@@ -56,17 +56,3 @@ func CZT(x []complex128, s float64) []complex128 {
 	}
 	return out
 }
-
-// CZTNaive is the O(N²) reference for CZT.
-func CZTNaive(x []complex128, s float64) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var sum complex128
-		for i := 0; i < n; i++ {
-			sum += x[i] * cmplx.Rect(1, -2*math.Pi*s*float64(k)*float64(i)/float64(n))
-		}
-		out[k] = sum
-	}
-	return out
-}

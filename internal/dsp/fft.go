@@ -18,9 +18,7 @@ package dsp
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
-	"math/cmplx"
 )
 
 // IsPowerOfTwo reports whether n is a positive power of two.
@@ -80,22 +78,6 @@ func IFFTInPlace(x []complex128) {
 		return
 	}
 	PlanFFT(len(x), true).Execute(x)
-}
-
-// DFTNaive computes the DFT by the O(N²) definition. It exists as the ground
-// truth for FFT tests and for tiny transforms where clarity beats speed.
-func DFTNaive(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var sum complex128
-		for i := 0; i < n; i++ {
-			ang := -2 * math.Pi * float64(k) * float64(i) / float64(n)
-			sum += x[i] * cmplx.Rect(1, ang)
-		}
-		out[k] = sum
-	}
-	return out
 }
 
 // FFTReal transforms a real sequence, returning the full complex

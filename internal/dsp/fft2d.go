@@ -91,31 +91,3 @@ func min2d(a, b int) int {
 	}
 	return b
 }
-
-// DFT2DNaive computes the 2-D DFT by definition — the O(N⁴) ground truth
-// for tests.
-func DFT2DNaive(x [][]complex128) [][]complex128 {
-	h := len(x)
-	w := len(x[0])
-	out := make([][]complex128, h)
-	for u := range out {
-		out[u] = make([]complex128, w)
-	}
-	// Row transform then column transform via the 1-D naive DFT keeps
-	// this readable and still independent of the fast path.
-	rows := make([][]complex128, h)
-	for i := range x {
-		rows[i] = DFTNaive(x[i])
-	}
-	col := make([]complex128, h)
-	for j := 0; j < w; j++ {
-		for i := 0; i < h; i++ {
-			col[i] = rows[i][j]
-		}
-		t := DFTNaive(col)
-		for i := 0; i < h; i++ {
-			out[i][j] = t[i]
-		}
-	}
-	return out
-}

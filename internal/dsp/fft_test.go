@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"refocus/internal/dsp/dsptest"
 )
 
 const fftTol = 1e-9
@@ -89,7 +91,7 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 12, 13, 16, 17, 31, 32, 45, 64, 100, 127, 128, 255, 256} {
 		x := randComplex(rng, n)
 		got := FFT(x)
-		want := DFTNaive(x)
+		want := dsptest.DFTNaive(x)
 		if d := maxAbsDiffC(got, want); d > 1e-8 {
 			t.Errorf("n=%d: FFT differs from naive DFT by %g", n, d)
 		}

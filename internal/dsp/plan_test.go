@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"refocus/internal/dsp/dsptest"
 )
 
 // planTestSizes mixes powers of two, primes, and awkward composites so
@@ -56,7 +58,7 @@ func TestPlanMatchesNaive(t *testing.T) {
 
 		fwd := append([]complex128(nil), x...)
 		PlanFFT(n, false).Execute(fwd)
-		if err := maxRelErr(fwd, DFTNaive(x)); err > 1e-9 {
+		if err := maxRelErr(fwd, dsptest.DFTNaive(x)); err > 1e-9 {
 			t.Errorf("n=%d: planned forward FFT off by %g", n, err)
 		}
 
@@ -137,7 +139,7 @@ func TestPlanConcurrentLookupsAndExecutes(t *testing.T) {
 	want := make(map[int][]complex128, len(sizes))
 	for _, n := range sizes {
 		inputs[n] = randComplex(rng, n)
-		want[n] = DFTNaive(inputs[n])
+		want[n] = dsptest.DFTNaive(inputs[n])
 	}
 
 	const goroutines = 16
@@ -185,7 +187,7 @@ func TestTransform2DBlockedTranspose(t *testing.T) {
 		for i := range x {
 			x[i] = randComplex(rng, w)
 		}
-		want := DFT2DNaive(x)
+		want := dsptest.DFT2DNaive(x)
 		FFT2D(x)
 		for i := range x {
 			if err := maxRelErr(x[i], want[i]); err > 1e-9 {

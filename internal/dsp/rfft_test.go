@@ -142,40 +142,6 @@ func TestExecuteBatchMatchesExecute(t *testing.T) {
 	}
 }
 
-// TestRealBatchMatchesSingle: ForwardBatch/InverseBatch are bit-identical
-// to per-row Forward/Inverse across the parity regimes.
-func TestRealBatchMatchesSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	for _, n := range []int{1, 2, 9, 32, 100} {
-		const rows = 4
-		p := PlanRFFT(n)
-		hw := p.SpectrumLen()
-		src := randReal(rng, rows*n)
-		got := make([]complex128, rows*hw)
-		p.ForwardBatch(got, src)
-		want := make([]complex128, hw)
-		for r := 0; r < rows; r++ {
-			p.Forward(want, src[r*n:(r+1)*n])
-			for k := range want {
-				if got[r*hw+k] != want[k] {
-					t.Fatalf("n=%d row %d bin %d: ForwardBatch differs", n, r, k)
-				}
-			}
-		}
-		back := make([]float64, rows*n)
-		p.InverseBatch(back, got)
-		wantReal := make([]float64, n)
-		for r := 0; r < rows; r++ {
-			p.Inverse(wantReal, got[r*hw:(r+1)*hw])
-			for i := range wantReal {
-				if back[r*n+i] != wantReal[i] {
-					t.Fatalf("n=%d row %d sample %d: InverseBatch differs", n, r, i)
-				}
-			}
-		}
-	}
-}
-
 // TestBatchStaging: the Batch type's stage-execute-read cycle matches
 // direct transforms, survives growth across many rows, and Reset reuses
 // the buffer.
@@ -243,8 +209,8 @@ func BenchmarkRFFTPow2_1024(b *testing.B) { benchmarkRFFT(b, 1024) }
 // BenchmarkRFFTBluestein_1000 measures the odd-length fallback lane.
 func BenchmarkRFFTBluestein_1000(b *testing.B) { benchmarkRFFT(b, 999) }
 
-// BenchmarkIRFFTPow2_1024 measures the inverse real lane, the hot
-// operation of the spectral convolution path.
+// BenchmarkIRFFTPow2_1024 measures the inverse real lane at the
+// physical-JTC aperture scale.
 func BenchmarkIRFFTPow2_1024(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	n := 1024
@@ -260,20 +226,5 @@ func BenchmarkIRFFTPow2_1024(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Inverse(dst, spec)
-	}
-}
-
-// BenchmarkRFFTBatch_32x256 measures the batched real lane: 32 rows of 256
-// through one ForwardBatch call, the shape the spectrum bank builds with.
-func BenchmarkRFFTBatch_32x256(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const rows, n = 32, 256
-	p := PlanRFFT(n)
-	src := randReal(rng, rows*n)
-	dst := make([]complex128, rows*p.SpectrumLen())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.ForwardBatch(dst, src)
 	}
 }

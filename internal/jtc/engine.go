@@ -50,14 +50,15 @@ type EngineConfig struct {
 	// Correlator must be safe for concurrent use when Parallelism != 1
 	// (DigitalCorrelator and PhysicalJTC.Correlate both are).
 	Parallelism int
-	// DisableSpectrumReuse forces the serial per-pass correlator path even
-	// when Correlator is nil. By default the engine computes each input
-	// tile's spectrum once per layer and shares it read-only across all
-	// filters and pseudo-negative parts (the paper's light reuse; see
-	// DESIGN.md §11); this flag retains the naive path as the golden
-	// reference for conformance testing. Setting Correlator also disables
-	// reuse — a custom correlator (e.g. PhysicalJTC.Correlate) must see
-	// every pass.
+	// DisableSpectrumReuse forces the per-pass serial reference even when
+	// Correlator is nil: every (filter, part, channel, kernel-row group)
+	// then runs as tiled 1-D correlator passes (ConvPlane), the golden
+	// reference the default path is conformance-tested against. By
+	// default the engine computes each such contribution as one exact
+	// dense correlation and adds the pass counts the tiling would have
+	// issued (DESIGN.md §11). Setting Correlator also forces the per-pass
+	// path — a custom correlator (e.g. PhysicalJTC.Correlate) must see
+	// every pass. The name predates the direct datapath.
 	DisableSpectrumReuse bool
 }
 
@@ -83,15 +84,10 @@ func DefaultEngineConfig() EngineConfig {
 type Engine struct {
 	cfg EngineConfig
 
-	// spectral selects the spectrum-reuse datapath (spectra.go); set when
-	// no custom correlator is configured and reuse is not disabled.
-	spectral bool
-	// roundSpectral rounds spectral-path results to integers: with both
-	// operands quantized the exact correlations are integers, so rounding
-	// removes the FFT roundoff entirely and the spectral path becomes
-	// bit-identical to the serial reference. Guarded to bit widths where
-	// the accumulated values stay far below 2^53.
-	roundSpectral bool
+	// direct selects the exact dense-correlation datapath (direct.go);
+	// set when no custom correlator is configured and the serial
+	// reference is not forced.
+	direct bool
 
 	mu    sync.Mutex
 	stats PassStats
@@ -108,13 +104,11 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.AccumulationWindow < 1 {
 		cfg.AccumulationWindow = 1
 	}
-	spectral := cfg.Correlator == nil && !cfg.DisableSpectrumReuse
+	direct := cfg.Correlator == nil && !cfg.DisableSpectrumReuse
 	if cfg.Correlator == nil {
 		cfg.Correlator = DigitalCorrelator
 	}
-	q := cfg.Quant
-	roundSpectral := q.Enabled && q.InputBits > 0 && q.WeightBits > 0 && q.InputBits+q.WeightBits <= 36
-	return &Engine{cfg: cfg, spectral: spectral, roundSpectral: roundSpectral}
+	return &Engine{cfg: cfg, direct: direct}
 }
 
 // Stats returns the accumulated pass statistics since the last ResetStats.
@@ -209,22 +203,14 @@ func (e *Engine) Conv2DCtx(ctx context.Context, input, weights *tensor.Tensor, s
 	layerSpan.SetAttr("kernel", fmt.Sprintf("%dx%d", kh, kw))
 	layerSpan.SetAttr("workers", workers)
 
-	// Spectrum reuse: transform every input tile once, before the fan-out,
-	// and share the bank read-only across all filter workers — the
-	// simulator-side form of the paper's light reuse. See DESIGN.md §11.
-	var bank *spectrumBank
-	if e.spectral {
-		bankSpan := obs.StartSpan(ctx, "jtc.spectrum_bank")
-		bank = buildSpectrumBank(inPlanes, kh, kw, e.cfg.InputWaveguides, e.cfg.WeightWaveguides)
-		bankSpan.SetAttr("spectrum", fmt.Sprintf("%dx%d", bank.my, bank.hwx))
-		bankSpan.End()
-		layerSpan.SetAttr("spectrum_channels", len(bank.specs))
-	}
+	// The kernel-row split and each group's pass tally depend on the
+	// layer shape alone; both datapaths walk the same groups.
+	groups := planRowGroups(h, w, kh, kw, e.cfg.InputWaveguides, e.cfg.WeightWaveguides)
 
 	if workers == 1 {
 		var st PassStats
 		for fi := 0; fi < f; fi++ {
-			e.convFilter(ctx, out, inPlanes, bank, posW, negW, fi, kh, kw, opScale, &st)
+			e.convFilter(ctx, out, inPlanes, groups, posW, negW, fi, kh, kw, opScale, &st)
 		}
 		e.mu.Lock()
 		e.stats.Add(st)
@@ -238,7 +224,7 @@ func (e *Engine) Conv2DCtx(ctx context.Context, input, weights *tensor.Tensor, s
 				defer wg.Done()
 				wctx := obs.Lane(ctx)
 				for fi := wi; fi < f; fi += workers {
-					e.convFilter(wctx, out, inPlanes, bank, posW, negW, fi, kh, kw, opScale, &perWorker[wi])
+					e.convFilter(wctx, out, inPlanes, groups, posW, negW, fi, kh, kw, opScale, &perWorker[wi])
 				}
 			}(wi)
 		}
@@ -271,22 +257,18 @@ func (e *Engine) Conv2DCtx(ctx context.Context, input, weights *tensor.Tensor, s
 // writing into out's (disjoint) filter-fi region. st receives the pass
 // statistics; callers running convFilter concurrently hand each worker its
 // own tally and merge after the barrier.
-func (e *Engine) convFilter(ctx context.Context, out *tensor.Tensor, inPlanes [][][]float64, bank *spectrumBank, posW, negW []float64, fi, kh, kw int, opScale float64, st *PassStats) {
+func (e *Engine) convFilter(ctx context.Context, out *tensor.Tensor, inPlanes [][][]float64, groups []rowGroup, posW, negW []float64, fi, kh, kw int, opScale float64, st *PassStats) {
 	c := len(inPlanes)
 	h, w := len(inPlanes[0]), len(inPlanes[0][0])
 	oh, ow := h-kh+1, w-kw+1
-	acc := make([]float64, oh*ow)
+	// The filter's digital accumulator, the photodetector charge wells
+	// every accumulation window reuses, and one output row of scratch for
+	// the direct datapath.
+	buf := make([]float64, (2*oh+1)*ow)
+	acc, well, row := buf[:oh*ow], buf[oh*ow:2*oh*ow], buf[2*oh*ow:]
 	filterSpan := obs.StartSpan(ctx, "jtc.filter")
 	filterSpan.SetAttr("filter", fi)
 	passesBefore := st.Passes
-	// On the spectral path, batch-transform this filter's kernel pieces
-	// once; every pass below is then a cross-spectrum multiply against the
-	// shared input bank plus one inverse transform.
-	var fs *filterSpectra
-	if bank != nil {
-		fs = bank.buildFilterSpectra(posW, negW, fi, c, kh, kw)
-		defer fs.release()
-	}
 	// Channel groups of M accumulate optically; groups accumulate
 	// digitally after ADC readout.
 	M := e.cfg.AccumulationWindow
@@ -295,8 +277,8 @@ func (e *Engine) convFilter(ctx context.Context, out *tensor.Tensor, inPlanes []
 		if cn > c {
 			cn = c
 		}
-		e.accumulateGroup(ctx, acc, inPlanes, bank, fs, posW, fi, c0, cn, kh, kw, +1, st)
-		e.accumulateGroup(ctx, acc, inPlanes, bank, fs, negW, fi, c0, cn, kh, kw, -1, st)
+		e.accumulateGroup(ctx, acc, well, row, inPlanes, groups, posW, fi, c0, cn, kh, kw, +1, st)
+		e.accumulateGroup(ctx, acc, well, row, inPlanes, groups, negW, fi, c0, cn, kh, kw, -1, st)
 	}
 	// Undo the operand scales in the digital domain.
 	for y := 0; y < oh; y++ {
@@ -309,11 +291,12 @@ func (e *Engine) convFilter(ctx context.Context, out *tensor.Tensor, inPlanes []
 }
 
 // accumulateGroup runs one temporal-accumulation window: channels
-// [c0,cn) of filter fi through the JTC, detector-accumulated, one ADC
-// readout, then added into acc with the given sign (the pseudo-negative
-// subtraction happens here). Pass counts tally into st, never into the
-// engine's shared stats, so concurrent workers do not contend.
-func (e *Engine) accumulateGroup(ctx context.Context, acc []float64, inPlanes [][][]float64, bank *spectrumBank, fs *filterSpectra, w []float64, fi, c0, cn, kh, kw int, sign float64, st *PassStats) {
+// [c0,cn) of filter fi through the JTC, detector-accumulated in well, one
+// ADC readout, then added into acc with the given sign (the
+// pseudo-negative subtraction happens here). row is the direct
+// datapath's output-row scratch. Pass counts tally into st, never into
+// the engine's shared stats, so concurrent workers do not contend.
+func (e *Engine) accumulateGroup(ctx context.Context, acc, well, row []float64, inPlanes [][][]float64, groups []rowGroup, w []float64, fi, c0, cn, kh, kw int, sign float64, st *PassStats) {
 	c := len(inPlanes)
 	h := len(inPlanes[0])
 	width := len(inPlanes[0][0])
@@ -327,19 +310,7 @@ func (e *Engine) accumulateGroup(ctx context.Context, acc []float64, inPlanes []
 		windowSpan.End()
 	}()
 
-	// Kernels larger than the weight waveguides (the 7×7 and 11×11 first
-	// layers) split into row groups of at most floor(Wwg/KW) rows; each
-	// group runs as its own pass over the correspondingly shifted input
-	// rows and the partial sums accumulate at the detector.
-	rowGroup := kernelRowGroup(kh, kw, e.cfg.WeightWaveguides)
-
-	// The pseudo-negative part index for filterSpectra lookups.
-	part := 0
-	if sign < 0 {
-		part = 1
-	}
-
-	well := make([]float64, oh*ow) // the photodetector charge wells
+	clear(well)
 	var maxSingle float64
 	any := false
 	for ci := c0; ci < cn; ci++ {
@@ -350,30 +321,19 @@ func (e *Engine) accumulateGroup(ctx context.Context, acc []float64, inPlanes []
 			continue
 		}
 		any = true
-		if bank != nil {
-			// Spectral path: same group split, same zero-skips, with the
-			// per-pass correlation replaced by cached cross-spectra.
-			for gi := range bank.groups {
-				grp := &bank.groups[gi]
-				if planeIsZero(kernel[grp.j0 : grp.j0+grp.g]) {
-					continue
-				}
-				bank.convGroup(grp, gi, ci, fs, part, e.roundSpectral, well, &maxSingle, st)
-			}
-			continue
-		}
-		for j0 := 0; j0 < kh; j0 += rowGroup {
-			g := rowGroup
-			if j0+g > kh {
-				g = kh - j0
-			}
-			sub := kernel[j0 : j0+g]
+		for _, grp := range groups {
+			sub := kernel[grp.j0 : grp.j0+grp.g]
 			if planeIsZero(sub) {
 				continue
 			}
 			// Input rows j0 .. j0+(oh-1)+g-1 pair with kernel rows
 			// j0 .. j0+g-1 for output rows 0..oh-1.
-			view := inPlanes[ci][j0 : j0+oh-1+g]
+			view := inPlanes[ci][grp.j0 : grp.j0+oh-1+grp.g]
+			if e.direct {
+				correlateInto(well, row, view, sub, &maxSingle)
+				st.Add(grp.stats)
+				continue
+			}
 			plane, stats := ConvPlane(view, sub, e.cfg.InputWaveguides, e.cfg.Correlator)
 			st.Add(stats)
 			for y := 0; y < oh; y++ {

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"refocus/internal/dsp"
+	"refocus/internal/dsp/dsptest"
 	"refocus/internal/tensor"
 )
 
@@ -25,7 +26,7 @@ func TestFFT2DMatchesNaive(t *testing.T) {
 				want[y][z] = x[y][z]
 			}
 		}
-		naive := dsp.DFT2DNaive(want)
+		naive := dsptest.DFT2DNaive(want)
 		dsp.FFT2D(x)
 		for y := range x {
 			for z := range x[y] {

@@ -122,14 +122,14 @@ func TestConv2DConcurrentEngine(t *testing.T) {
 	}
 }
 
-// TestSpectrumBankSharedFanOut drives the spectrum-reuse fan-out as hard
-// as the race detector can watch it: one engine, maximum internal
+// TestDirectSharedFanOut drives the default path's filter fan-out as
+// hard as the race detector can watch it: one engine, maximum internal
 // parallelism, many concurrent Conv2D calls — every worker reading the
-// same spectrumBank (input spectra, phase tables, group tallies) while
-// building private filter spectra from the shared scratch pools. Outputs
-// must stay bit-identical to the serial spectral run. Run under -race
-// this is the ownership proof for DESIGN.md §11.
-func TestSpectrumBankSharedFanOut(t *testing.T) {
+// same read-only input planes and group tallies while correlating into
+// its own row scratch and wells. Outputs must stay bit-identical to a
+// one-worker run. Run under -race this is the ownership proof for
+// DESIGN.md §11.
+func TestDirectSharedFanOut(t *testing.T) {
 	in, wt := testConvOperands(5, 6, 20, 20, 12, 3, 3)
 
 	cfg := DefaultEngineConfig()
@@ -153,7 +153,7 @@ func TestSpectrumBankSharedFanOut(t *testing.T) {
 	for g, got := range outs {
 		for i := range got.Data {
 			if got.Data[i] != want.Data[i] {
-				t.Fatalf("caller %d: output[%d] differs under shared-bank fan-out", g, i)
+				t.Fatalf("caller %d: output[%d] differs under shared fan-out", g, i)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"refocus/internal/dsp"
+	"refocus/internal/dsp/dsptest"
 )
 
 func wdmOperands(rng *rand.Rand, nch, ls, lk int) (sig, ker [][]float64) {
@@ -26,7 +27,7 @@ func TestCZTMatchesNaive(t *testing.T) {
 		for _, s := range []float64{1, 0.999, 1.0013, 0.5} {
 			x := randComplexSlice(rng, n)
 			got := dsp.CZT(x, s)
-			want := dsp.CZTNaive(x, s)
+			want := dsptest.CZTNaive(x, s)
 			for k := range got {
 				if d := got[k] - want[k]; math.Hypot(real(d), imag(d)) > 1e-7 {
 					t.Fatalf("n=%d s=%g: CZT differs at bin %d", n, s, k)

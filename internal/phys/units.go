@@ -25,17 +25,13 @@ const (
 // Unit multipliers for readability at call sites.
 const (
 	MilliWatt = 1e-3
-	MicroWatt = 1e-6
 	GHz       = 1e9
 	MHz       = 1e6
 	NS        = 1e-9
-	PS        = 1e-12
-	UM        = 1e-6
 	MM        = 1e-3
 	UM2       = 1e-12 // µm² in m²
 	MM2       = 1e-6  // mm² in m²
 	PJ        = 1e-12
-	FJ        = 1e-15
 	KB        = 1024
 	MB        = 1024 * 1024
 )

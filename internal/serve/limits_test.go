@@ -157,13 +157,21 @@ func (k *keyLog) Get(key string) (arch.Report, bool) {
 }
 
 // TestRouteKeyIsWorkerCacheIdentity: for a registry network, "all", a
-// faulted request and an inline spec byte-identical to a registry entry,
-// the worker looks its cache up under configHash[|faultHash]|netHash for
-// each network, with the response's ConfigHash, the fault set's own hash
-// and each network's fresh NetworkHash, and RouteKey of the same request
-// is those keys' prefix joined with every network hash.
+// faulted request, an inline spec byte-identical to a registry entry, a
+// preset spelled out as its full config-file JSON, another network and
+// another design point, the worker looks its cache up under
+// configHash[|faultHash]|netHash for each network, with the response's
+// ConfigHash, the fault set's own hash and each network's fresh
+// NetworkHash, and RouteKey of the same request is those keys' prefix
+// joined with every network hash. The inline spec and the config file
+// share the registry request's key; another network or design point does
+// not.
 func TestRouteKeyIsWorkerCacheIdentity(t *testing.T) {
 	spec, err := nn.NetworkJSON(nn.ResNet50())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fbFile, err := arch.ConfigJSON(arch.FB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,6 +184,9 @@ func TestRouteKeyIsWorkerCacheIdentity(t *testing.T) {
 		{"faulted", EvaluateRequest{Preset: "fb", Network: "BERT-base",
 			Faults: json.RawMessage(`{"DeadRFCUs": [1], "BufferExcessLossDB": 0.2}`)}},
 		{"inline", EvaluateRequest{Preset: "fb", NetworkSpec: spec}},
+		{"config-file", EvaluateRequest{Config: fbFile, Network: "resnet-50"}},
+		{"other-network", EvaluateRequest{Preset: "fb", Network: "AlexNet"}},
+		{"other-design-point", EvaluateRequest{Preset: "ff", Network: "resnet-50"}},
 	}
 	for _, tc := range cases {
 		log := &keyLog{ResultStore: newReportCache(64)}
@@ -225,7 +236,20 @@ func TestRouteKeyIsWorkerCacheIdentity(t *testing.T) {
 			t.Errorf("%s: RouteKey %s is not the cache keys' identity %s|%s", tc.name, rk, prefix, strings.Join(resp.NetworkHashes, "|"))
 		}
 	}
-	if routeKey(t, cases[0].req) != routeKey(t, cases[3].req) {
-		t.Error("inline spec of ResNet-50 and the registry name route apart")
-	}
+	t.Run("shared and distinct keys", func(t *testing.T) {
+		keys := map[string]string{}
+		for _, tc := range cases {
+			keys[tc.name] = routeKey(t, tc.req)
+		}
+		for _, same := range []string{"inline", "config-file"} {
+			if keys[same] != keys["registry"] {
+				t.Errorf("%s request and the registry request route apart:\n%s\n%s", same, keys[same], keys["registry"])
+			}
+		}
+		for _, other := range []string{"other-network", "other-design-point"} {
+			if keys[other] == keys["registry"] {
+				t.Errorf("%s request shares the registry request's key %s", other, keys[other])
+			}
+		}
+	})
 }

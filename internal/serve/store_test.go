@@ -8,7 +8,6 @@ import (
 
 	"refocus/internal/arch"
 	"refocus/internal/nn"
-	"refocus/internal/sim"
 )
 
 // sampleReport evaluates one real (config, network) pair so store tests
@@ -20,7 +19,7 @@ func sampleReport(t *testing.T) (string, arch.Report) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := sim.CacheKey(cfg, nn.ResNet18())
+	key, err := RouteKey(EvaluateRequest{Preset: "fb", Network: "ResNet-18"}, SpecLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}

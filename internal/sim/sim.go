@@ -253,24 +253,6 @@ func EvaluateCtx(ctx context.Context, opts Options) (Result, error) {
 	return Result{Config: cfg, Networks: nets, Reports: reports}, nil
 }
 
-// CacheKey returns the canonical identity of one (design point, network)
-// evaluation: arch.ConfigHash joined with nn.NetworkHash. Requests that
-// resolve to the same design point and workload — via presets, Base
-// overlays, raw JSON in any field order, a registered name in any case,
-// or an inline spec identical to a registry entry — share a key, so a
-// result cache keyed on it serves them all from one evaluation.
-func CacheKey(cfg arch.SystemConfig, net nn.Network) (string, error) {
-	cfgHash, err := arch.ConfigHash(cfg)
-	if err != nil {
-		return "", err
-	}
-	netHash, err := nn.NetworkHash(net)
-	if err != nil {
-		return "", err
-	}
-	return cfgHash + "|" + netHash, nil
-}
-
 // Run executes the full pipeline: resolve → override → validate →
 // evaluate → render. It shares Evaluate's error convention.
 func Run(opts Options, out io.Writer) error {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"refocus/internal/arch"
-	"refocus/internal/nn"
 )
 
 // TestLoadConfigOverlay: a file with a Base preset only overrides the
@@ -182,58 +181,6 @@ func TestEvaluateResult(t *testing.T) {
 	}
 	if _, err := Evaluate(Options{Preset: "nope", Network: "all"}); err == nil {
 		t.Error("unknown preset accepted")
-	}
-}
-
-// TestCacheKey: the key is stable across construction paths of the same
-// design point, distinguishes networks, and distinguishes design points.
-func TestCacheKey(t *testing.T) {
-	fromPreset, err := CacheKey(arch.FB(), nn.ResNet50())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The same design point expressed as a full serialized config.
-	data, err := arch.ConfigJSON(arch.FB())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := LoadConfig(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromFile, err := CacheKey(reloaded, nn.ResNet50())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromPreset != fromFile {
-		t.Errorf("same design point keyed differently:\n%s\n%s", fromPreset, fromFile)
-	}
-	otherNet, _ := CacheKey(arch.FB(), nn.AlexNet())
-	if otherNet == fromPreset {
-		t.Error("different networks share a key")
-	}
-	otherCfg, _ := CacheKey(arch.FF(), nn.ResNet50())
-	if otherCfg == fromPreset {
-		t.Error("different design points share a key")
-	}
-	if !strings.HasSuffix(fromPreset, "|"+nn.MustNetworkHash(nn.ResNet50())) {
-		t.Errorf("key should end with the network hash: %s", fromPreset)
-	}
-	// An inline spec identical to the registry entry shares the key.
-	data, err = nn.NetworkJSON(nn.ResNet50())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inline, err := nn.ParseNetwork(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromInline, err := CacheKey(arch.FB(), inline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromInline != fromPreset {
-		t.Errorf("inline spec of a registry network keyed differently:\n%s\n%s", fromInline, fromPreset)
 	}
 }
 
