@@ -308,7 +308,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	campaignSeed := fs.Int64("campaign-seed", 1, "campaign master seed; same seed + spec = same campaign identity (robustness mode)")
 	retrain := fs.Bool("retrain", false, "also retrain the reference net through each trial's device model (robustness mode)")
 	pollInterval := fs.Duration("poll-interval", 2*time.Second, "status polling interval (robustness and optimize modes)")
-	strategy := fs.String("strategy", "", "search strategy: random, anneal, evolve or halving; empty means the server default (optimize mode)")
+	strategy := fs.String("strategy", "", "search strategy: random, evolve or halving; empty means the server default (optimize mode)")
 	generations := fs.Int("generations", 0, "search generations; 0 means the server default (optimize mode)")
 	population := fs.Int("population", 0, "candidates per generation; 0 means the server default (optimize mode)")
 	objectives := fs.String("objectives", "", "comma-separated objective axes; empty means the server default (optimize mode)")

@@ -215,13 +215,15 @@ func SetParallelism(n int) {
 	parallelismOverride.Store(int64(n))
 }
 
-// parallelFor runs body(0..n-1) across min(Parallelism(), n) goroutines,
+// ParallelFor runs body(0..n-1) across min(Parallelism(), n) goroutines,
 // stopping early (remaining iterations skipped) once ctx is canceled.
 // Iterations must be independent; the call returns after every started
 // iteration completes, with ctx.Err() if the loop was cut short. Each
 // worker's body receives a context on its own trace lane, so spans from
 // concurrent iterations render on separate rows instead of interleaving.
-func parallelFor(ctx context.Context, n int, body func(ctx context.Context, i int)) error {
+// It is the one bounded fan-out loop: the point loops here and
+// faults.YieldSweep's trial loop all run on it.
+func ParallelFor(ctx context.Context, n int, body func(ctx context.Context, i int)) error {
 	workers := Parallelism()
 	if workers > n {
 		workers = n
@@ -272,7 +274,7 @@ func EvaluateAll(cfg SystemConfig, nets []nn.Network) ([]Report, error) {
 func EvaluateAllCtx(ctx context.Context, cfg SystemConfig, nets []nn.Network) ([]Report, error) {
 	out := make([]Report, len(nets))
 	errs := make([]error, len(nets))
-	if err := parallelFor(ctx, len(nets), func(wctx context.Context, i int) {
+	if err := ParallelFor(ctx, len(nets), func(wctx context.Context, i int) {
 		sp := obs.StartSpan(wctx, "arch.evaluate")
 		sp.SetAttr("config", cfg.Name)
 		sp.SetAttr("network", nets[i].Name)
@@ -327,7 +329,7 @@ func EvaluateGridCtx(ctx context.Context, cfgs []SystemConfig, nets []nn.Network
 	}
 	k := len(nets)
 	errs := make([]error, len(cfgs)*k)
-	if err := parallelFor(ctx, len(cfgs)*k, func(wctx context.Context, i int) {
+	if err := ParallelFor(ctx, len(cfgs)*k, func(wctx context.Context, i int) {
 		sp := obs.StartSpan(wctx, "arch.evaluate")
 		sp.SetAttr("config", cfgs[i/k].Name)
 		sp.SetAttr("network", nets[i%k].Name)

@@ -138,8 +138,14 @@ func CorrCircularFFT(x, k []float64) []float64 {
 	if len(x) != len(k) {
 		panic(fmt.Sprintf("dsp: CorrCircularFFT length mismatch %d vs %d", len(x), len(k)))
 	}
-	a := FFTReal(x)
-	b := FFTReal(k)
+	a := make([]complex128, len(x))
+	b := make([]complex128, len(k))
+	for i := range x {
+		a[i] = complex(x[i], 0)
+		b[i] = complex(k[i], 0)
+	}
+	FFTInPlace(a)
+	FFTInPlace(b)
 	for i := range a {
 		a[i] *= complex(real(b[i]), -imag(b[i]))
 	}

@@ -80,27 +80,6 @@ func IFFTInPlace(x []complex128) {
 	PlanFFT(len(x), true).Execute(x)
 }
 
-// FFTReal transforms a real sequence, returning the full complex
-// spectrum. It runs on the packed real-input lane (see RealPlan): the
-// half spectrum is computed with roughly half the work of the complex
-// path and the upper bins are filled in by conjugate symmetry. The
-// previous widen-to-complex implementation survives as FFTRealNaive for
-// conformance testing.
-func FFTReal(x []float64) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	if n == 0 {
-		return out
-	}
-	p := PlanRFFT(n)
-	p.Forward(out[:n/2+1], x)
-	for k := 1; k < (n+1)/2; k++ {
-		v := out[k]
-		out[n-k] = complex(real(v), -imag(v))
-	}
-	return out
-}
-
 // FFTShift rotates x so the zero-frequency bin moves to the centre, the way
 // an optical Fourier plane presents it (DC at the optical axis). For even N
 // the split is symmetric; for odd N the extra sample lands on the left half,

@@ -209,11 +209,17 @@ func TestFFTLinearity(t *testing.T) {
 	}
 }
 
-func TestFFTRealConjugateSymmetry(t *testing.T) {
+// TestRealInputConjugateSymmetry: FFTInPlace on a real input yields a
+// conjugate-symmetric spectrum, X[k] = conj(X[n-k]), on both the radix-2
+// and the Bluestein path.
+func TestRealInputConjugateSymmetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{8, 15, 32} {
-		x := randReal(rng, n)
-		X := FFTReal(x)
+	for _, n := range []int{8, 15, 32, 100} {
+		X := make([]complex128, n)
+		for i, v := range randReal(rng, n) {
+			X[i] = complex(v, 0)
+		}
+		FFTInPlace(X)
 		for k := 1; k < n; k++ {
 			if d := cmplx.Abs(X[k] - cmplx.Conj(X[n-k])); d > 1e-9 {
 				t.Errorf("n=%d bin %d: conjugate symmetry violated by %g", n, k, d)
@@ -229,6 +235,37 @@ func TestFFTShiftRoundTrip(t *testing.T) {
 		y := IFFTShift(FFTShift(x))
 		if d := maxAbsDiffC(x, y); d != 0 {
 			t.Errorf("n=%d: IFFTShift(FFTShift(x)) != x (diff %g)", n, d)
+		}
+	}
+}
+
+// TestShiftInPlaceMatchesAllocating: the in-place rotations agree with the
+// allocating FFTShift/IFFTShift for both parities, and compose to identity.
+func TestShiftInPlaceMatchesAllocating(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, n := range []int{1, 2, 3, 8, 9, 64, 255} {
+		x := randComplex(rng, n)
+		shifted := FFTShift(x)
+		got := append([]complex128(nil), x...)
+		FFTShiftInPlace(got)
+		for i := range got {
+			if got[i] != shifted[i] {
+				t.Fatalf("n=%d: FFTShiftInPlace differs at %d", n, i)
+			}
+		}
+		IFFTShiftInPlace(got)
+		for i := range got {
+			if got[i] != x[i] {
+				t.Fatalf("n=%d: shift∘unshift not identity at %d", n, i)
+			}
+		}
+		unshifted := IFFTShift(x)
+		got2 := append([]complex128(nil), x...)
+		IFFTShiftInPlace(got2)
+		for i := range got2 {
+			if got2[i] != unshifted[i] {
+				t.Fatalf("n=%d: IFFTShiftInPlace differs at %d", n, i)
+			}
 		}
 	}
 }

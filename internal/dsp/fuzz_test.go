@@ -42,45 +42,6 @@ func FuzzFFTRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzRFFTRoundTrip: for arbitrary lengths — even (packed lane), odd
-// (full-plan fallback), power-of-two and Bluestein alike — the real lane
-// satisfies IRFFT(RFFT(x), n) == x and agrees bin-for-bin with the
-// widen-to-complex reference FFTRealNaive.
-func FuzzRFFTRoundTrip(f *testing.F) {
-	f.Add(int64(1), uint16(1))    // trivial
-	f.Add(int64(2), uint16(2))    // smallest packed
-	f.Add(int64(3), uint16(9))    // odd fallback
-	f.Add(int64(4), uint16(256))  // pow2 packed
-	f.Add(int64(5), uint16(100))  // even, Bluestein half
-	f.Add(int64(6), uint16(999))  // odd Bluestein
-	f.Add(int64(7), uint16(1024)) // large pow2
-	f.Fuzz(func(t *testing.T, seed int64, rawLen uint16) {
-		n := int(rawLen)%2048 + 1
-		rng := rand.New(rand.NewSource(seed))
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		spec := RFFT(x)
-		if len(spec) != n/2+1 {
-			t.Fatalf("n=%d: %d bins, want %d", n, len(spec), n/2+1)
-		}
-		want := FFTRealNaive(x)
-		for k := range spec {
-			d := spec[k] - want[k]
-			if math.Hypot(real(d), imag(d)) > 1e-7*(1+math.Hypot(real(want[k]), imag(want[k]))) {
-				t.Fatalf("n=%d bin %d: RFFT %v, naive %v", n, k, spec[k], want[k])
-			}
-		}
-		back := IRFFT(spec, n)
-		for i := range x {
-			if math.Abs(back[i]-x[i]) > 1e-7*(1+math.Abs(x[i])) {
-				t.Fatalf("n=%d: round trip broken at %d: %g vs %g", n, i, back[i], x[i])
-			}
-		}
-	})
-}
-
 // FuzzConvTheorem: ConvFFT always equals the direct convolution.
 func FuzzConvTheorem(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(3))

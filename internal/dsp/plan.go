@@ -190,13 +190,7 @@ func (p *Plan) radix2(x []complex128) {
 // work buffer drawn from the pool.
 func (p *Plan) bluestein(x []complex128) {
 	buf := p.scratch.Get().(*[]complex128)
-	p.bluesteinInto(x, *buf)
-	p.scratch.Put(buf)
-}
-
-// bluesteinInto is bluestein with caller-provided length-m scratch, so
-// batched execution can reuse one buffer across every row.
-func (p *Plan) bluesteinInto(x, a []complex128) {
+	a := *buf
 	n := p.n
 	for k := 0; k < n; k++ {
 		a[k] = x[k] * p.chirp[k]
@@ -220,4 +214,5 @@ func (p *Plan) bluesteinInto(x, a []complex128) {
 			x[k] = a[k] * p.chirp[k]
 		}
 	}
+	p.scratch.Put(buf)
 }

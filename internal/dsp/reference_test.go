@@ -91,16 +91,3 @@ func bluestein(x []complex128, inverse bool) {
 		x[k] = a[k] * invM * chirp[k]
 	}
 }
-
-// FFTRealNaive transforms a real sequence by widening it to complex and
-// running the full complex FFT — allocating a full complex copy and doing
-// twice the necessary work. It is retained purely as the golden reference
-// the real-input lane (FFTReal, RFFT) is conformance-tested against.
-func FFTRealNaive(x []float64) []complex128 {
-	c := make([]complex128, len(x))
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	FFTInPlace(c)
-	return c
-}

@@ -167,7 +167,7 @@ func YieldSweep(ctx context.Context, cfg arch.SystemConfig, nets []nn.Network, m
 		err         error
 	}
 	outcomes := make([]trial, trials)
-	err = parallelTrials(ctx, trials, func(ctx context.Context, i int) {
+	err = arch.ParallelFor(ctx, trials, func(ctx context.Context, i int) {
 		trialSpan := obs.StartSpan(ctx, "faults.trial")
 		trialSpan.SetAttr("trial", sets[i].Name)
 		defer func() {
@@ -212,52 +212,6 @@ func YieldSweep(ctx context.Context, cfg arch.SystemConfig, nets []nn.Network, m
 		res.Energy = NewDistribution(energy)
 	}
 	return res, nil
-}
-
-// parallelTrials fans body(0..n-1) across arch.Parallelism() workers,
-// stopping early when ctx is canceled (mirrors arch's point loop, which
-// is unexported). Each worker's body receives a context on its own
-// trace lane so concurrent trial spans render on separate rows.
-func parallelTrials(ctx context.Context, n int, body func(ctx context.Context, i int)) error {
-	workers := arch.Parallelism()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			body(ctx, i)
-		}
-		return nil
-	}
-	next := make(chan int)
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			wctx := obs.Lane(ctx)
-			for i := range next {
-				body(wctx, i)
-			}
-		}()
-	}
-	var err error
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			err = ctx.Err()
-			break feed
-		}
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	return err
 }
 
 // ResiliencePoint is one sample of the R-vs-loss resilience curve: what

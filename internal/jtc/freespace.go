@@ -53,20 +53,18 @@ func (j *FreeSpaceJTC) Correlate2D(signal, kernel [][]float64) [][]float64 {
 	ny, nx := j.ApertureY, j.ApertureX
 	sep := nx / 4
 
-	// Input plane: signal at (0,0), kernel at (0, sep). The plane carries
-	// real non-negative amplitudes, so both lens passes run on the packed
-	// real-input transform lane (dsp.RFFT2D) — the joint power spectrum
-	// after the square-law medium is real again.
-	plane := make([][]float64, ny)
+	// Input plane: signal at (0,0), kernel at (0, sep), as real
+	// non-negative field amplitudes.
+	plane := make([][]complex128, ny)
 	for y := range plane {
-		plane[y] = make([]float64, nx)
+		plane[y] = make([]complex128, nx)
 	}
 	for y := 0; y < hs; y++ {
 		for x := 0; x < ws; x++ {
 			if signal[y][x] < 0 {
 				panic("jtc: negative signal amplitude")
 			}
-			plane[y][x] = signal[y][x]
+			plane[y][x] = complex(signal[y][x], 0)
 		}
 	}
 	for y := 0; y < hk; y++ {
@@ -74,22 +72,21 @@ func (j *FreeSpaceJTC) Correlate2D(signal, kernel [][]float64) [][]float64 {
 			if kernel[y][x] < 0 {
 				panic("jtc: negative kernel amplitude")
 			}
-			plane[y][sep+x] = kernel[y][x]
+			plane[y][sep+x] = complex(kernel[y][x], 0)
 		}
 	}
 
 	// Lens 1 → joint power spectrum → lens 2. Normalizing the JPS by
 	// 1/N (N = ny·nx samples) makes the raw DFT∘|·|²∘DFT composition —
 	// whose cross term carries N·corr — emerge at exactly unit gain.
-	spec := dsp.RFFT2D(plane)
+	dsp.FFT2D(plane)
 	invN := 1 / float64(ny*nx)
-	for y := range spec {
-		for x := range spec[y] {
-			e := spec[y][x]
-			plane[y][x] = (real(e)*real(e) + imag(e)*imag(e)) * invN
+	for y := range plane {
+		for x, e := range plane[y] {
+			plane[y][x] = complex((real(e)*real(e)+imag(e)*imag(e))*invN, 0)
 		}
 	}
-	spec = dsp.RFFT2D(plane)
+	dsp.FFT2D(plane)
 
 	// Extraction: with s at (0,0) and k at (0,sep), the cross term reads
 	// the correlation at lag (ly,lx) from output position
@@ -101,7 +98,7 @@ func (j *FreeSpaceJTC) Correlate2D(signal, kernel [][]float64) [][]float64 {
 		my := (ny - ly) % ny
 		for lx := 0; lx < ox; lx++ {
 			mx := (sep - lx + nx) % nx
-			out[ly][lx] = real(spec[my][mx])
+			out[ly][lx] = real(plane[my][mx])
 		}
 	}
 	return out

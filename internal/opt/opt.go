@@ -5,8 +5,8 @@
 // under area/power budget constraints ("best design under 150 mm² and
 // 15 W for this network"). Table 4 of the paper answers this question
 // by exhaustive hand-driven grids; this package answers it with
-// pluggable strategies (random baseline, simulated annealing,
-// NSGA-II-style evolution, successive halving) behind one interface.
+// pluggable strategies (random baseline, NSGA-II-style evolution,
+// successive halving) behind one interface.
 //
 // Searches follow the internal/robust campaign playbook: a JSON Spec
 // with a SHA-256 identity, per-candidate seeds derived purely from
@@ -104,7 +104,7 @@ type Spec struct {
 	// strategies rank them below every feasible point, by violation.
 	AreaBudgetMM2 float64 `json:",omitempty"`
 	PowerBudgetW  float64 `json:",omitempty"`
-	// Strategy names the search strategy ("random", "anneal", "evolve",
+	// Strategy names the search strategy ("random", "evolve" or
 	// "halving"); empty defaults to "evolve".
 	Strategy string `json:",omitempty"`
 	// Generations is the number of sequential propose/evaluate rounds;
@@ -293,21 +293,10 @@ func (s Spec) Validate() error {
 }
 
 // ResolveConfig turns the spec's base design-point naming into a
-// validated arch.SystemConfig — the same preset-or-config contract the
-// serving layer speaks.
+// validated arch.SystemConfig, by the preset-or-config rule of
+// sim.ResolveDesignPoint that the serving layer also speaks.
 func (s Spec) ResolveConfig() (arch.SystemConfig, error) {
-	var cfg arch.SystemConfig
-	var err error
-	switch {
-	case s.Preset != "" && len(s.Config) > 0:
-		return cfg, errors.New("opt: spec names both Preset and Config; pick one")
-	case s.Preset != "":
-		cfg, err = arch.PresetByName(s.Preset)
-	case len(s.Config) > 0:
-		cfg, err = sim.LoadConfig(s.Config)
-	default:
-		return cfg, errors.New("opt: spec must name a Preset or carry a Config base design point")
-	}
+	cfg, err := sim.ResolveDesignPoint(s.Preset, s.Config)
 	if err != nil {
 		return cfg, err
 	}

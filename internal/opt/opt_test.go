@@ -72,6 +72,7 @@ func TestValidateRejects(t *testing.T) {
 		{"repeated objective", func(s *Spec) { s.Objectives = []Objective{ObjectiveFPS, ObjectiveFPS} }, "repeated"},
 		{"yield without trials", func(s *Spec) { s.Objectives = []Objective{ObjectiveYield} }, "YieldTrials"},
 		{"unknown strategy", func(s *Spec) { s.Strategy = "magic" }, "unknown strategy"},
+		{"retired strategy", func(s *Spec) { s.Strategy = "anneal" }, "unknown strategy"},
 		{"zero generations", func(s *Spec) { s.Generations = -1 }, "Generations"},
 		{"tiny population", func(s *Spec) { s.Population = 1 }, "Population"},
 		{"budget blowout", func(s *Spec) { s.Generations = 64; s.Population = 256 }, "exceeds"},

@@ -84,8 +84,7 @@ func (g *grid) random(rng *rand.Rand) Candidate {
 }
 
 // neighbor moves one uniformly chosen axis of c a single step up or
-// down, clamped to the grid — the annealing move and the evolutionary
-// mutation step.
+// down, clamped to the grid — successive halving's refinement move.
 func (g *grid) neighbor(rng *rand.Rand, c Candidate) Candidate {
 	axis := rng.Intn(NumAxes)
 	if rng.Intn(2) == 0 {

@@ -3,8 +3,6 @@ package opt
 import (
 	"fmt"
 	"math/rand"
-
-	"refocus/internal/job"
 )
 
 // Strategy vocabulary: the values Spec.Strategy accepts.
@@ -12,11 +10,6 @@ const (
 	// StrategyRandom is uniform random sampling — the baseline every
 	// other strategy must beat on hypervolume.
 	StrategyRandom = "random"
-	// StrategyAnneal is multi-objective simulated annealing: a
-	// population of independent walkers, each following Metropolis
-	// acceptance on its own scalarization of the objectives under a
-	// geometric cooling schedule.
-	StrategyAnneal = "anneal"
 	// StrategyEvolve is an NSGA-II-style evolutionary search:
 	// non-dominated sorting plus crowding distance drive binary
 	// tournament selection, uniform crossover and single-step mutation.
@@ -29,7 +22,7 @@ const (
 
 // Strategies lists the registered strategy names, in a fixed order.
 func Strategies() []string {
-	return []string{StrategyRandom, StrategyAnneal, StrategyEvolve, StrategyHalving}
+	return []string{StrategyRandom, StrategyEvolve, StrategyHalving}
 }
 
 // ProposalContext is everything a Strategy sees when proposing one
@@ -68,15 +61,6 @@ func (pc ProposalContext) Neighbor(rng *rand.Rand, c Candidate) Candidate {
 // Clamp forces every index of c into its axis range.
 func (pc ProposalContext) Clamp(c Candidate) Candidate { return pc.grid.clamp(c) }
 
-// byCell indexes the history by schedule cell.
-func (pc ProposalContext) byCell() map[job.Cell]CandidateResult {
-	m := make(map[job.Cell]CandidateResult, len(pc.History))
-	for _, r := range pc.History {
-		m[r.Cell()] = r
-	}
-	return m
-}
-
 // Strategy proposes each generation's candidates from the evaluated
 // history. Implementations are stateless: everything a proposal depends
 // on must come from the ProposalContext and the passed RNG, so that a
@@ -94,8 +78,6 @@ func strategyFor(name string) (Strategy, error) {
 	switch name {
 	case StrategyRandom:
 		return randomStrategy{}, nil
-	case StrategyAnneal:
-		return annealStrategy{}, nil
 	case StrategyEvolve:
 		return evolveStrategy{}, nil
 	case StrategyHalving:

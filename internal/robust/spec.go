@@ -221,21 +221,10 @@ func (s Spec) Validate() error {
 }
 
 // ResolveConfig turns the spec's design-point naming into a validated
-// arch.SystemConfig — the same preset-or-config contract the serving
-// layer speaks, minus per-request overrides.
+// arch.SystemConfig, by the preset-or-config rule of
+// sim.ResolveDesignPoint that the serving layer also speaks.
 func (s Spec) ResolveConfig() (arch.SystemConfig, error) {
-	var cfg arch.SystemConfig
-	var err error
-	switch {
-	case s.Preset != "" && len(s.Config) > 0:
-		return cfg, errors.New("robust: spec names both Preset and Config; pick one")
-	case s.Preset != "":
-		cfg, err = arch.PresetByName(s.Preset)
-	case len(s.Config) > 0:
-		cfg, err = sim.LoadConfig(s.Config)
-	default:
-		return cfg, errors.New("robust: spec must name a Preset or carry a Config design point")
-	}
+	cfg, err := sim.ResolveDesignPoint(s.Preset, s.Config)
 	if err != nil {
 		return cfg, err
 	}

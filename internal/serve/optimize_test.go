@@ -199,6 +199,7 @@ func TestOptimizeBadSpecs(t *testing.T) {
 		"no design":     `{"Strategy": "random"}`,
 		"both points":   `{"Preset": "fb", "Config": {"Base": "fb"}}`,
 		"bad strategy":  `{"Preset": "fb", "Strategy": "magic"}`,
+		"anneal":        `{"Preset": "fb", "Strategy": "anneal"}`,
 		"bad objective": `{"Preset": "fb", "Objectives": ["speed"]}`,
 		"budget":        `{"Preset": "fb", "Generations": 64, "Population": 256}`,
 		"unknown net":   `{"Preset": "fb", "Network": "nope"}`,

@@ -350,18 +350,7 @@ func StatusOf(err error) int {
 // resolveRequestConfig turns a request into a validated design point:
 // preset or config-file schema, then overrides, then Validate.
 func resolveRequestConfig(req EvaluateRequest) (arch.SystemConfig, error) {
-	var cfg arch.SystemConfig
-	var err error
-	switch {
-	case req.Preset != "" && len(req.Config) > 0:
-		return cfg, errors.New("serve: request names both Preset and Config; pick one")
-	case req.Preset != "":
-		cfg, err = arch.PresetByName(req.Preset)
-	case len(req.Config) > 0:
-		cfg, err = sim.LoadConfig(req.Config)
-	default:
-		return cfg, errors.New("serve: request must name a Preset or carry a Config design point")
-	}
+	cfg, err := sim.ResolveDesignPoint(req.Preset, req.Config)
 	if err != nil {
 		return cfg, err
 	}
@@ -372,10 +361,7 @@ func resolveRequestConfig(req EvaluateRequest) (arch.SystemConfig, error) {
 			return cfg, fmt.Errorf("serve: applying Overrides: %w", err)
 		}
 	}
-	if err := cfg.Validate(); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
 // acquireSlot blocks until a worker slot frees up or the request dies —

@@ -82,6 +82,24 @@ func ResolveConfig(preset, configFile string) (arch.SystemConfig, error) {
 	return arch.PresetByName(preset)
 }
 
+// ResolveDesignPoint resolves the preset-or-config naming that evaluate
+// requests, robustness campaigns and optimize searches share: exactly one
+// of preset (a registry name, arch.PresetByName) or config (the
+// LoadConfig schema) must be set. The result is not yet validated, so a
+// caller can merge overrides first.
+func ResolveDesignPoint(preset string, config []byte) (arch.SystemConfig, error) {
+	switch {
+	case preset != "" && len(config) > 0:
+		return arch.SystemConfig{}, fmt.Errorf("sim: design point names both Preset and Config; pick one")
+	case preset != "":
+		return arch.PresetByName(preset)
+	case len(config) > 0:
+		return LoadConfig(config)
+	default:
+		return arch.SystemConfig{}, fmt.Errorf("sim: design point must name a Preset or carry a Config")
+	}
+}
+
 // configFileSchema is the on-disk form: every arch.SystemConfig field plus
 // an optional Base naming the preset the file's fields overlay. A file
 // without Base must therefore spell out a complete design point.

@@ -93,6 +93,31 @@ func TestResolveConfig(t *testing.T) {
 	}
 }
 
+// TestResolveDesignPoint: exactly one of preset or config names the
+// design point.
+func TestResolveDesignPoint(t *testing.T) {
+	cfg, err := ResolveDesignPoint("fb", nil)
+	if err != nil || cfg.Name != "ReFOCUS-FB" {
+		t.Fatalf("preset resolve: %v, %+v", err, cfg)
+	}
+	cfg, err = ResolveDesignPoint("", []byte(`{"Base": "ff", "Name": "inline"}`))
+	if err != nil || cfg.Name != "inline" {
+		t.Fatalf("config resolve: %v, %+v", err, cfg)
+	}
+	for _, tc := range []struct {
+		preset, config, want string
+	}{
+		{"fb", `{"Base": "ff"}`, "pick one"},
+		{"", "", "must name a Preset"},
+		{"nope", "", "nope"},
+		{"", `{"Warp": 9}`, "Warp"},
+	} {
+		if _, err := ResolveDesignPoint(tc.preset, []byte(tc.config)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ResolveDesignPoint(%q, %q) = %v, want an error naming %q", tc.preset, tc.config, err, tc.want)
+		}
+	}
+}
+
 // TestResolveNetworks: single names, "all", and the unknown-name error.
 func TestResolveNetworks(t *testing.T) {
 	one, err := ResolveNetworks("ResNet-18")

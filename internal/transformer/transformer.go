@@ -22,36 +22,23 @@ import (
 
 // FNetMix applies the FNet token-mixing sublayer to a [seq][hidden] block:
 // y = Re( FFT_seq( FFT_hidden(x) ) ). It replaces self-attention with two
-// unparameterized Fourier transforms (Lee-Thorp et al. [30]). Each
-// dimension's transforms are staged and executed as one dsp.Batch, so the
-// plan tables stay hot across all rows instead of being re-fetched per
-// token and per channel.
+// unparameterized Fourier transforms (Lee-Thorp et al. [30]), which
+// together are the 2-D DFT of the block.
 func FNetMix(x [][]float64) [][]float64 {
 	l, d := dims(x)
-	// Hidden-dimension transform: one batch of l token rows.
-	rows := dsp.NewBatch(d, false)
-	for t := 0; t < l; t++ {
-		row := rows.Next()
+	y := make([][]complex128, l)
+	for t := range y {
+		y[t] = make([]complex128, d)
 		for j, v := range x[t] {
-			row[j] = complex(v, 0)
+			y[t][j] = complex(v, 0)
 		}
 	}
-	rows.Execute()
-	// Sequence-dimension transform: one batch of d channel columns, then
-	// the real part.
-	cols := dsp.NewBatch(l, false)
-	for j := 0; j < d; j++ {
-		col := cols.Next()
-		for t := 0; t < l; t++ {
-			col[t] = rows.Row(t)[j]
-		}
-	}
-	cols.Execute()
+	dsp.FFT2D(y)
 	out := make([][]float64, l)
 	for t := range out {
 		out[t] = make([]float64, d)
-		for j := 0; j < d; j++ {
-			out[t][j] = real(cols.Row(j)[t])
+		for j, v := range y[t] {
+			out[t][j] = real(v)
 		}
 	}
 	return out
@@ -68,16 +55,16 @@ func FNetMixOptical(x [][]float64, lens optics.Lens) [][]float64 {
 	if lens.Aperture < l {
 		panic(fmt.Sprintf("transformer: %d tokens exceed the lens aperture %d", l, lens.Aperture))
 	}
-	// The digital hidden-dimension half runs as one batched transform;
+	// The hidden-dimension half runs digitally, one transform per token;
 	// only the sequence dimension goes through the lens.
-	rows := dsp.NewBatch(d, false)
-	for t := 0; t < l; t++ {
-		row := rows.Next()
+	rows := make([][]complex128, l)
+	for t := range rows {
+		rows[t] = make([]complex128, d)
 		for j, v := range x[t] {
-			row[j] = complex(v, 0)
+			rows[t][j] = complex(v, 0)
 		}
+		dsp.FFTInPlace(rows[t])
 	}
-	rows.Execute()
 	out := make([][]float64, l)
 	for t := range out {
 		out[t] = make([]float64, d)
@@ -85,7 +72,7 @@ func FNetMixOptical(x [][]float64, lens optics.Lens) [][]float64 {
 	for j := 0; j < d; j++ {
 		field := optics.NewField(l)
 		for t := 0; t < l; t++ {
-			field[t] = rows.Row(t)[j]
+			field[t] = rows[t][j]
 		}
 		transformed := lens.Transform(field)
 		// The lens's unitary 1/√L scaling is undone digitally, like every
