@@ -2,6 +2,7 @@ package arch
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -338,4 +339,70 @@ func TestBatchingLiftsEfficiency(t *testing.T) {
 	if gain := b8.FPSPerWatt / b1.FPSPerWatt; gain < 1.3 {
 		t.Errorf("batch-8 FPS/W gain = %.2f, expected substantial", gain)
 	}
+}
+
+// TestValidateRejectsUnplannableBuffers: a filter-major buffer plan over
+// more RFCUs than the sizing N_F (512) has no output buffer. Validate
+// rejects it with the plan's error, which names N_RFCU, so Evaluate
+// returns that error instead of panicking in bufferPlan.
+func TestValidateRejectsUnplannableBuffers(t *testing.T) {
+	cfg := FB()
+	cfg.NRFCU = 1_000_000_000
+	err := cfg.Validate()
+	if err == nil || !strings.Contains(err.Error(), "N_RFCU=1000000000") {
+		t.Fatalf("Validate = %v, want the buffer plan's N_RFCU error", err)
+	}
+	if _, err := Evaluate(cfg, nn.AlexNet()); err == nil {
+		t.Error("Evaluate accepted the unplannable config")
+	}
+	cfg.NRFCU = 512
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("N_RFCU = N_F should still plan: %v", err)
+	}
+}
+
+// TestEvaluateRejectsNonFiniteReports: design points whose laser power
+// overflows evaluate to an error naming the first non-finite report
+// field, never to a report carrying +Inf.
+func TestEvaluateRejectsNonFiniteReports(t *testing.T) {
+	long := FB()
+	long.M = 1_000_000_000
+	reuse := FB()
+	reuse.Reuses = 1_000_000_000
+	for _, cfg := range []SystemConfig{long, reuse} {
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("M=%d Reuses=%d: %v", cfg.M, cfg.Reuses, err)
+		}
+		_, err := Evaluate(cfg, nn.AlexNet())
+		if err == nil || !strings.Contains(err.Error(), "Energy is +Inf") {
+			t.Errorf("M=%d Reuses=%d: Evaluate = %v, want an error naming Energy", cfg.M, cfg.Reuses, err)
+		}
+	}
+}
+
+// TestCheckFiniteCoversEveryField: every float64 of Report, nested ones
+// included, is checked and named by its path.
+func TestCheckFiniteCoversEveryField(t *testing.T) {
+	r := MustEvaluate(FB(), nn.AlexNet())
+	if err := r.checkFinite(); err != nil {
+		t.Fatal(err)
+	}
+	var check func(v reflect.Value, path string)
+	check = func(v reflect.Value, path string) {
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), path+v.Type().Field(i).Name
+			switch f.Kind() {
+			case reflect.Struct:
+				check(f, name+".")
+			case reflect.Float64:
+				old := f.Float()
+				f.SetFloat(math.Inf(-1))
+				if err := r.checkFinite(); err == nil || !strings.HasPrefix(err.Error(), name+" is -Inf") {
+					t.Errorf("%s = -Inf: checkFinite = %v", name, err)
+				}
+				f.SetFloat(old)
+			}
+		}
+	}
+	check(reflect.ValueOf(&r).Elem(), "")
 }

@@ -126,15 +126,22 @@ func areaOf(c SystemConfig) AreaBreakdown {
 	return a
 }
 
-// bufferPlan sizes the data buffers for an already-validated configuration
-// using the worst-case benchmark parameters (N_F = N_C = 512 per §5.3.3;
-// ResNet-50's 2048-filter layers stripe across output-buffer refills).
-func bufferPlan(c SystemConfig) memory.BufferPlan {
+// planBuffers sizes the data buffers using the worst-case benchmark
+// parameters (N_F = N_C = 512 per §5.3.3; ResNet-50's 2048-filter layers
+// stripe across output-buffer refills). Validate runs it, so a design
+// point the plan cannot size (a filter-major plan over more RFCUs than
+// N_F) is rejected as input rather than reached by Evaluate.
+func planBuffers(c SystemConfig) (memory.BufferPlan, error) {
 	reuses := c.reuses()
 	if reuses < 1 {
 		reuses = 1 // a bufferless config still sizes a nominal plan
 	}
-	plan, err := memory.PlanBuffers(c.BufferChoice, c.T, c.M, c.NLambda, 512, 512, c.NRFCU, reuses)
+	return memory.PlanBuffers(c.BufferChoice, c.T, c.M, c.NLambda, 512, 512, c.NRFCU, reuses)
+}
+
+// bufferPlan is planBuffers for an already-validated configuration.
+func bufferPlan(c SystemConfig) memory.BufferPlan {
+	plan, err := planBuffers(c)
 	if err != nil {
 		panic("arch: internal: " + err.Error())
 	}

@@ -164,6 +164,9 @@ func (c SystemConfig) Validate() error {
 	if err := c.BufferChoice.Validate(); err != nil {
 		return fmt.Errorf("arch: %s: %w", c.label(), err)
 	}
+	if _, err := planBuffers(c); err != nil {
+		return fmt.Errorf("arch: %s: %w", c.label(), err)
+	}
 	if c.Components.ClockFrequency <= 0 {
 		return fmt.Errorf("arch: %s: Components.ClockFrequency %g, must be positive", c.label(), c.Components.ClockFrequency)
 	}

@@ -171,7 +171,40 @@ func Evaluate(cfg SystemConfig, net nn.Network) (Report, error) {
 	r.FPSPerMM2 = r.FPS / (area.Total() / 1e-6) // per mm²
 	r.PAP = r.FPSPerWatt * r.FPSPerMM2
 	r.InvEDP = 1 / (r.Energy * latency)
+	if err := r.checkFinite(); err != nil {
+		return Report{}, fmt.Errorf("arch: evaluating %s on %s: %w", net.Name, cfg.label(), err)
+	}
 	return r, nil
+}
+
+// checkFinite names the first non-finite field of r in declaration
+// order. A design point past what the model can price (a delay line or
+// reuse count so long that the laser power overflows) is an input
+// error, never a report: JSON cannot carry ±Inf or NaN, and a cache must
+// not keep one.
+func (r Report) checkFinite() error {
+	p, a := r.Power, r.Area
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"Latency", r.Latency}, {"Energy", r.Energy}, {"DRAMEnergy", r.DRAMEnergy},
+		{"Power.InputDAC", p.InputDAC}, {"Power.WeightDAC", p.WeightDAC}, {"Power.ADC", p.ADC},
+		{"Power.Laser", p.Laser}, {"Power.MRR", p.MRR}, {"Power.ActivationSRAM", p.ActivationSRAM},
+		{"Power.WeightSRAM", p.WeightSRAM}, {"Power.DataBuffers", p.DataBuffers},
+		{"Power.SRAMLeakage", p.SRAMLeakage}, {"Power.CMOS", p.CMOS}, {"Power.DRAM", p.DRAM},
+		{"Area.Lens", a.Lens}, {"Area.DelayLine", a.DelayLine}, {"Area.Photodetector", a.Photodetector},
+		{"Area.MRR", a.MRR}, {"Area.YJunction", a.YJunction}, {"Area.Laser", a.Laser},
+		{"Area.Routing", a.Routing}, {"Area.Converters", a.Converters}, {"Area.CMOSLogic", a.CMOSLogic},
+		{"Area.SRAM", a.SRAM}, {"Area.DataBuffer", a.DataBuffer},
+		{"FPS", r.FPS}, {"FPSPerWatt", r.FPSPerWatt}, {"FPSPerMM2", r.FPSPerMM2},
+		{"PAP", r.PAP}, {"InvEDP", r.InvEDP},
+	} {
+		if math.IsInf(f.v, 0) || math.IsNaN(f.v) {
+			return fmt.Errorf("%s is %v, outside what the model can price", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // MustEvaluate is Evaluate for configurations known valid by construction

@@ -370,3 +370,39 @@ func TestTrailingDataRejectedOnBothTiers(t *testing.T) {
 		}
 	}
 }
+
+// TestCoordinatorUnpricedDesignPoints: design points the model cannot
+// price answer 400 with the structured error through a coordinator. An
+// N_RFCU past the buffer plan's N_F fails validation at the edge and
+// reaches no shard; a delay line so long the laser power overflows is
+// the shard's 400, relayed on a repeat too, and no shard caches it.
+func TestCoordinatorUnpricedDesignPoints(t *testing.T) {
+	_, url, shards, _ := testCluster(t, 3, nil)
+	cases := []struct{ body, want string }{
+		{`{"Preset":"fb","Overrides":{"NRFCU":1000000000},"Network":"AlexNet"}`, "N_RFCU=1000000000"},
+		{`{"Preset":"fb","Overrides":{"M":1000000000},"Network":"AlexNet"}`, "Energy is +Inf"},
+		{`{"Preset":"fb","Overrides":{"M":1000000000},"Network":"AlexNet"}`, "Energy is +Inf"},
+	}
+	for i, tc := range cases {
+		status, body := postJSON(t, url+"/v1/evaluate", tc.body)
+		var er serve.ErrorResponse
+		if err := json.Unmarshal(body, &er); err != nil {
+			t.Fatalf("case %d: status %d, body %q is not a structured error", i, status, body)
+		}
+		if status != http.StatusBadRequest || er.Status != status || !strings.Contains(er.Error, tc.want) {
+			t.Errorf("case %d: %d %+v, want 400 naming %q", i, status, er, tc.want)
+		}
+		if i == 0 {
+			for j, s := range shards {
+				if n := s.MetricsSnapshot().Endpoints["/v1/evaluate"].Requests; n != 0 {
+					t.Errorf("shard %d saw %d requests for the N_RFCU point", j, n)
+				}
+			}
+		}
+	}
+	for j, s := range shards {
+		if c := s.MetricsSnapshot().Cache; c.Hits != 0 || c.Entries != 0 {
+			t.Errorf("shard %d cache %+v, want no entries and no hits", j, c)
+		}
+	}
+}

@@ -128,15 +128,49 @@ func Hashes() []string { return hashesOf(registry()) }
 // registry network to learn its identity. ok is false for an unknown
 // name.
 func Workload(name string) (nets []Network, hashes []string, ok bool) {
-	sel := registry()[:numBenchmarks]
+	regs, ok := Resolve(name)
+	if !ok {
+		return nil, nil, false
+	}
+	nets, hashes = make([]Network, len(regs)), make([]string, len(regs))
+	for i, r := range regs {
+		nets[i], hashes[i] = r.Network(), r.Hash()
+	}
+	return nets, hashes, true
+}
+
+// Registered is one registry network, read in place: Name and Hash (the
+// canonical hash the registry computed when it loaded) copy nothing, and
+// Network deep-clones the entry for a caller that evaluates or changes it.
+type Registered struct{ e *entry }
+
+// Name returns the network's registered name.
+func (r Registered) Name() string { return r.e.Name }
+
+// Hash returns the network's canonical hash (NetworkHash).
+func (r Registered) Hash() string { return r.e.hash }
+
+// Network returns a deep clone of the network.
+func (r Registered) Network() Network { return r.e.clone() }
+
+// Resolve is Workload without the clones: the registry entries a
+// workload name selects, for callers that may need only names and
+// hashes (a cached result, a route key).
+func Resolve(name string) ([]Registered, bool) {
+	reg := registry()
+	sel := reg[:numBenchmarks]
 	if !strings.EqualFold(name, "all") {
 		i := index(name)
 		if i < 0 {
-			return nil, nil, false
+			return nil, false
 		}
-		sel = registry()[i : i+1]
+		sel = reg[i : i+1]
 	}
-	return clones(sel), hashesOf(sel), true
+	out := make([]Registered, len(sel))
+	for i := range sel {
+		out[i] = Registered{&sel[i]}
+	}
+	return out, true
 }
 
 // index returns the registry position of a network name

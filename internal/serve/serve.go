@@ -433,9 +433,9 @@ func (s *Server) evaluatePoint(ctx context.Context, req EvaluateRequest) (Evalua
 	resp := EvaluateResponse{
 		Config:        r.cfg.Name,
 		ConfigHash:    r.cfgHash,
-		Networks:      make([]string, len(r.nets)),
+		Networks:      r.names,
 		NetworkHashes: r.hashes,
-		Reports:       make([]arch.Report, len(r.nets)),
+		Reports:       make([]arch.Report, len(r.hashes)),
 	}
 	if r.faults != nil {
 		// The remapping record is cheap to recompute, so full cache hits
@@ -448,17 +448,14 @@ func (s *Server) evaluatePoint(ctx context.Context, req EvaluateRequest) (Evalua
 	}
 	lookupSpan := obs.StartSpan(ctx, "serve.cache_lookup")
 	lookupStart := time.Now()
-	var missing []nn.Network
 	var missingIdx []int
 	var missingKeys []string
-	for i, net := range r.nets {
-		resp.Networks[i] = net.Name
-		key := r.prefix + "|" + r.hashes[i]
+	for i, hash := range r.hashes {
+		key := r.prefix + "|" + hash
 		if rep, ok := s.cache.Get(key); ok {
 			resp.Reports[i] = rep
 			resp.CacheHits++
 		} else {
-			missing = append(missing, net)
 			missingIdx = append(missingIdx, i)
 			missingKeys = append(missingKeys, key)
 			resp.CacheMisses++
@@ -471,7 +468,7 @@ func (s *Server) evaluatePoint(ctx context.Context, req EvaluateRequest) (Evalua
 	lookupSpan.SetAttr("misses", resp.CacheMisses)
 	lookupSpan.End()
 
-	if len(missing) > 0 {
+	if len(missingIdx) > 0 {
 		waitSpan := obs.StartSpan(ctx, "serve.queue_wait")
 		waitStart := time.Now()
 		err := s.acquireSlot(ctx)
@@ -484,8 +481,13 @@ func (s *Server) evaluatePoint(ctx context.Context, req EvaluateRequest) (Evalua
 			s.metrics.chaosSlowed.Add(1)
 		}
 		evalSpan := obs.StartSpan(ctx, "serve.evaluate")
-		evalSpan.SetAttr("networks", len(missing))
+		evalSpan.SetAttr("networks", len(missingIdx))
 		evalStart := time.Now()
+		// Only a miss needs the networks themselves.
+		missing := make([]nn.Network, len(missingIdx))
+		for j, i := range missingIdx {
+			missing[j] = r.network(i)
+		}
 		var reports []arch.Report
 		if r.faults != nil {
 			degraded, derr := faults.EvaluateAllCtx(ctx, r.cfg, *r.faults, missing)
@@ -528,49 +530,71 @@ func (s *Server) handlePresets(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// resolveRequestNetworks turns a request's workload naming into the
-// network set to evaluate and, index-aligned, the networks' canonical
-// hashes: an inline NetworkSpec (strictly parsed, validated, checked
-// against the resource limits and hashed), or a registered name / "all"
-// (empty defaults to "all"), whose hashes the registry computed once.
-func resolveRequestNetworks(req EvaluateRequest, lim SpecLimits) ([]nn.Network, []string, error) {
+// resolvedRequest is an evaluate request resolved and validated: its
+// design point and config hash, its fault set (nil for the healthy
+// machine), and the names and canonical hashes of its networks. prefix is
+// the config hash, joined with the fault set's hash when one rides along,
+// so the cache key of network i is prefix|hashes[i] and degraded reports
+// never alias healthy ones. The networks themselves stay where they are,
+// in the registry (registered) or in the parsed inline spec, until a
+// cache miss asks for one.
+type resolvedRequest struct {
+	cfg           arch.SystemConfig
+	cfgHash       string
+	faults        *faults.FaultSet
+	names, hashes []string
+	registered    []nn.Registered // nil for an inline spec
+	spec          nn.Network
+	prefix        string
+}
+
+// network returns network i to evaluate: a clone of the registry entry,
+// or the request's own parsed spec.
+func (r *resolvedRequest) network(i int) nn.Network {
+	if r.registered == nil {
+		return r.spec
+	}
+	return r.registered[i].Network()
+}
+
+// resolveNetworks resolves the request's workload naming: an inline
+// NetworkSpec (strictly parsed, validated, checked against the resource
+// limits and hashed), or a registered name / "all" (empty defaults to
+// "all"), whose names and load-time hashes are read from the registry
+// without copying a network.
+func (r *resolvedRequest) resolveNetworks(req EvaluateRequest, lim SpecLimits) error {
 	if len(req.NetworkSpec) > 0 {
 		if req.Network != "" {
-			return nil, nil, errors.New("serve: request names both Network and NetworkSpec; pick one")
+			return errors.New("serve: request names both Network and NetworkSpec; pick one")
 		}
 		net, err := nn.ParseNetwork(req.NetworkSpec)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		if err := lim.check(net); err != nil {
-			return nil, nil, err
+			return err
 		}
 		hash, err := nn.NetworkHash(net)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		return []nn.Network{net}, []string{hash}, nil
+		r.spec, r.names, r.hashes = net, []string{net.Name}, []string{hash}
+		return nil
 	}
 	network := req.Network
 	if network == "" {
 		network = "all"
 	}
-	return sim.ResolveWorkload(network)
-}
-
-// resolvedRequest is an evaluate request resolved and validated: its
-// design point and config hash, its fault set (nil for the healthy
-// machine), and its networks with their canonical hashes. prefix is the
-// config hash, joined with the fault set's hash when one rides along, so
-// the cache key of network i is prefix|hashes[i] and degraded reports
-// never alias healthy ones.
-type resolvedRequest struct {
-	cfg     arch.SystemConfig
-	cfgHash string
-	faults  *faults.FaultSet
-	nets    []nn.Network
-	hashes  []string
-	prefix  string
+	regs, err := sim.ResolveRegistered(network)
+	if err != nil {
+		return err
+	}
+	r.registered = regs
+	r.names, r.hashes = make([]string, len(regs)), make([]string, len(regs))
+	for i, reg := range regs {
+		r.names[i], r.hashes[i] = reg.Name(), reg.Hash()
+	}
+	return nil
 }
 
 // resolveRequest is the one resolution of an evaluate request, shared by
@@ -589,7 +613,7 @@ func resolveRequest(req EvaluateRequest, lim SpecLimits) (r resolvedRequest, err
 	if r.faults, err = resolveRequestFaults(req, r.cfg); err != nil {
 		return r, err
 	}
-	if r.nets, r.hashes, err = resolveRequestNetworks(req, lim); err != nil {
+	if err = r.resolveNetworks(req, lim); err != nil {
 		return r, err
 	}
 	if r.cfgHash, err = arch.ConfigHash(r.cfg); err != nil {

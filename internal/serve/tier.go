@@ -160,16 +160,37 @@ func (t *Tier) instrument(label string, h http.HandlerFunc) http.Handler {
 	})
 }
 
-// writeJSON sends v with the given status, timing the encode into the
-// refocus_encode_seconds stage histogram.
+// encodeBuf holds one response's compact encoding and its indented form
+// between requests.
+type encodeBuf struct {
+	compact  bytes.Buffer
+	indented []byte
+}
+
+var encodeBufs = sync.Pool{New: func() any { return new(encodeBuf) }}
+
+// writeJSON sends v with the given status: encoding/json's compact
+// encoding, indented in one pass by appendIndent into the bytes a
+// json.Encoder with SetIndent("", "  ") writes. The refocus_encode_seconds
+// stage histogram times both passes. Status, headers and body go out only
+// once the encode has succeeded, so a value that cannot be encoded is a
+// 500 carrying the structured error, never a 200 with an empty body.
 func (t *Tier) writeJSON(w http.ResponseWriter, status int, v any) {
+	start := time.Now()
+	buf := encodeBufs.Get().(*encodeBuf)
+	defer encodeBufs.Put(buf)
+	buf.compact.Reset()
+	if err := json.NewEncoder(&buf.compact).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		buf.compact.Reset()
+		json.NewEncoder(&buf.compact).Encode(ErrorResponse{ //nolint:errcheck // two plain fields always encode
+			Error: "serve: encoding response: " + err.Error(), Status: status})
+	}
+	buf.indented = appendIndent(buf.indented[:0], buf.compact.Bytes())
+	t.encode.Observe(time.Since(start).Seconds())
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	start := time.Now()
-	enc.Encode(v) //nolint:errcheck // a failed write means the client is gone
-	t.encode.Observe(time.Since(start).Seconds())
+	w.Write(buf.indented) //nolint:errcheck // a failed write means the client is gone
 }
 
 // decode strictly parses the request body into v, enforcing the body

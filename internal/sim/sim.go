@@ -156,9 +156,25 @@ func ResolveNetworks(name string) ([]nn.Network, error) {
 func ResolveWorkload(name string) ([]nn.Network, []string, error) {
 	nets, hashes, ok := nn.Workload(name)
 	if !ok {
-		return nil, nil, fmt.Errorf("sim: unknown network %q (known: %s, or \"all\")", name, strings.Join(nn.Names(), ", "))
+		return nil, nil, unknownNetwork(name)
 	}
 	return nets, hashes, nil
+}
+
+// ResolveRegistered is ResolveWorkload without copying a network: the
+// registry entries the name selects, whose names and hashes read in
+// place. The serving layer clones only the networks a cache misses.
+func ResolveRegistered(name string) ([]nn.Registered, error) {
+	regs, ok := nn.Resolve(name)
+	if !ok {
+		return nil, unknownNetwork(name)
+	}
+	return regs, nil
+}
+
+// unknownNetwork is the error for a workload name the registry lacks.
+func unknownNetwork(name string) error {
+	return fmt.Errorf("sim: unknown network %q (known: %s, or \"all\")", name, strings.Join(nn.Names(), ", "))
 }
 
 // LoadNetworkFile reads and strictly parses a JSON network spec.
