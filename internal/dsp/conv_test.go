@@ -2,45 +2,36 @@ package dsp
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"refocus/internal/dsp/dsptest"
 )
 
-func TestConvFullKnown(t *testing.T) {
-	got := ConvFull([]float64{1, 2, 3}, []float64{0, 1, 0.5})
-	want := []float64{0, 1, 2.5, 4, 1.5}
-	if d := maxAbsDiff(got, want); d > 1e-12 {
-		t.Errorf("ConvFull = %v, want %v", got, want)
+// corrFFT is the valid cross-correlation of x with k by the correlation
+// theorem on the planned transforms: IFFT(FFT(x)·conj(FFT(k))) at length
+// len(x), whose lags 0 .. len(x)-len(k) never wrap.
+func corrFFT(x, k []float64) []float64 {
+	a, b := make([]complex128, len(x)), make([]complex128, len(x))
+	for i, v := range x {
+		a[i] = complex(v, 0)
 	}
-}
-
-func TestConvFullEmpty(t *testing.T) {
-	if ConvFull(nil, []float64{1}) != nil || ConvFull([]float64{1}, nil) != nil {
-		t.Error("ConvFull with empty operand should return nil")
+	for i, v := range k {
+		b[i] = complex(v, 0)
 	}
-}
-
-func TestConvValidMatchesFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	x := randReal(rng, 20)
-	k := randReal(rng, 5)
-	full := ConvFull(x, k)
-	valid := ConvValid(x, k)
-	// Valid outputs are full outputs from index len(k)-1 through len(x)-1.
-	want := full[len(k)-1 : len(x)]
-	if d := maxAbsDiff(valid, want); d > 1e-12 {
-		t.Errorf("ConvValid disagrees with ConvFull slice by %g", d)
+	FFTInPlace(a)
+	FFTInPlace(b)
+	for i := range a {
+		a[i] *= cmplx.Conj(b[i])
 	}
-}
-
-func TestConvValidPanicsOnLongKernel(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic when kernel longer than input")
-		}
-	}()
-	ConvValid([]float64{1, 2}, []float64{1, 2, 3})
+	IFFTInPlace(a)
+	out := make([]float64, len(x)-len(k)+1)
+	for i := range out {
+		out[i] = real(a[i])
+	}
+	return out
 }
 
 func TestCorrValidIsConvWithFlippedKernel(t *testing.T) {
@@ -52,119 +43,55 @@ func TestCorrValidIsConvWithFlippedKernel(t *testing.T) {
 		flipped[len(k)-1-i] = v
 	}
 	corr := CorrValid(x, k)
-	conv := ConvValid(x, flipped)
+	conv := dsptest.ConvValid(x, flipped)
 	if d := maxAbsDiff(corr, conv); d > 1e-12 {
 		t.Errorf("CorrValid != ConvValid with flipped kernel (diff %g)", d)
 	}
 }
 
-func TestCorrFullLagIndexing(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	k := []float64{1, 1}
-	full := CorrFull(x, k)
-	// lag l stored at index len(k)-1+l; lag 0 = x[0]k[0]+x[1]k[1] = 3.
-	if full[1] != 3 {
-		t.Errorf("CorrFull lag 0 = %g, want 3", full[1])
-	}
-	// lag -1: only x[0]k[1] overlaps = 1.
-	if full[0] != 1 {
-		t.Errorf("CorrFull lag -1 = %g, want 1", full[0])
-	}
-	valid := CorrValid(x, k)
-	if d := maxAbsDiff(valid, full[1:len(x)]); d > 1e-12 {
-		t.Errorf("CorrValid disagrees with CorrFull slice")
-	}
+// TestConvValidPanicsOnLongKernel: the direct convolution reference
+// refuses a kernel longer than its input, like CorrValid.
+func TestConvValidPanicsOnLongKernel(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic when kernel longer than input")
+		}
+	}()
+	dsptest.ConvValid([]float64{1, 2}, []float64{1, 2, 3})
 }
 
-func TestConvCircularWrap(t *testing.T) {
-	x := []float64{1, 0, 0, 0}
-	k := []float64{1, 2, 3, 4}
-	got := ConvCircular(x, k)
-	if d := maxAbsDiff(got, k); d > 1e-12 {
-		t.Errorf("circular conv with delta = %v, want %v", got, k)
-	}
-	// Shifted delta rotates the kernel — the wraparound that forces the
-	// JTC row-tiling algorithm to discard rows.
-	x2 := []float64{0, 0, 0, 1}
-	got2 := ConvCircular(x2, k)
-	want2 := []float64{2, 3, 4, 1}
-	if d := maxAbsDiff(got2, want2); d > 1e-12 {
-		t.Errorf("circular conv with shifted delta = %v, want %v", got2, want2)
-	}
-}
-
-func TestConvCircularMatchesLinearWhenPadded(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	x := randReal(rng, 12)
-	k := randReal(rng, 5)
-	n := len(x) + len(k) - 1
-	xp := append(append([]float64{}, x...), make([]float64, n-len(x))...)
-	kp := append(append([]float64{}, k...), make([]float64, n-len(k))...)
-	circ := ConvCircular(xp, kp)
-	lin := ConvFull(x, k)
-	if d := maxAbsDiff(circ, lin); d > 1e-12 {
-		t.Errorf("padded circular conv != linear conv (diff %g)", d)
-	}
-}
-
-// TestConvFFTMatchesDirect is the convolution theorem — the mathematical
-// foundation of the whole 4F/JTC accelerator family.
+// TestConvFFTMatchesDirect is the convolution theorem, in its correlation
+// form — the mathematical foundation of the whole 4F/JTC accelerator
+// family: the planned transforms reproduce the direct correlation on
+// radix-2 and Bluestein lengths.
 func TestConvFFTMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, tc := range []struct{ nx, nk int }{{1, 1}, {5, 3}, {64, 9}, {100, 25}, {256, 9}, {33, 17}} {
 		x := randReal(rng, tc.nx)
 		k := randReal(rng, tc.nk)
-		direct := ConvFull(x, k)
-		fft := ConvFFT(x, k)
-		if d := maxAbsDiff(direct, fft); d > 1e-8 {
-			t.Errorf("nx=%d nk=%d: ConvFFT differs from ConvFull by %g", tc.nx, tc.nk, d)
+		if d := maxAbsDiff(CorrValid(x, k), corrFFT(x, k)); d > 1e-8 {
+			t.Errorf("nx=%d nk=%d: FFT correlation differs from CorrValid by %g", tc.nx, tc.nk, d)
 		}
 	}
 }
 
-func TestCorrCircularFFT(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	n := 32
-	x := randReal(rng, n)
-	k := randReal(rng, n)
-	got := CorrCircularFFT(x, k)
-	want := make([]float64, n)
-	for l := 0; l < n; l++ {
-		for j := 0; j < n; j++ {
-			want[l] += x[(j+l)%n] * k[j]
-		}
-	}
-	if d := maxAbsDiff(got, want); d > 1e-8 {
-		t.Errorf("CorrCircularFFT differs from direct circular correlation by %g", d)
-	}
-}
-
-func TestConvCommutative(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	x := randReal(rng, 19)
-	k := randReal(rng, 6)
-	if d := maxAbsDiff(ConvFull(x, k), ConvFull(k, x)); d > 1e-12 {
-		t.Errorf("convolution not commutative (diff %g)", d)
-	}
-}
-
-// TestConvPropertyTheorem property-checks ConvFFT == ConvFull over random
-// operand sizes, the invariant everything downstream leans on.
+// TestConvPropertyTheorem property-checks the correlation theorem over
+// random operand sizes, the invariant everything downstream leans on.
 func TestConvPropertyTheorem(t *testing.T) {
 	f := func(seed int64, a, b uint8) bool {
 		nx := int(a)%80 + 1
-		nk := int(b)%80 + 1
+		nk := int(b)%nx + 1
 		rng := rand.New(rand.NewSource(seed))
 		x := randReal(rng, nx)
 		k := randReal(rng, nk)
-		return maxAbsDiff(ConvFull(x, k), ConvFFT(x, k)) < 1e-7
+		return maxAbsDiff(CorrValid(x, k), corrFFT(x, k)) < 1e-7
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestConvPropertyLinearity: conv(x, a·k1 + b·k2) = a·conv(x,k1) + b·conv(x,k2).
+// TestConvPropertyLinearity: corr(x, a·k1 + b·k2) = a·corr(x,k1) + b·corr(x,k2).
 func TestConvPropertyLinearity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -176,8 +103,8 @@ func TestConvPropertyLinearity(t *testing.T) {
 		for i := range mix {
 			mix[i] = a*k1[i] + b*k2[i]
 		}
-		lhs := ConvFull(x, mix)
-		c1, c2 := ConvFull(x, k1), ConvFull(x, k2)
+		lhs := CorrValid(x, mix)
+		c1, c2 := CorrValid(x, k1), CorrValid(x, k2)
 		rhs := make([]float64, len(lhs))
 		for i := range rhs {
 			rhs[i] = a*c1[i] + b*c2[i]
@@ -196,17 +123,6 @@ func BenchmarkConvDirect256x9(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ConvValid(x, k)
-	}
-}
-
-func BenchmarkConvFFT256x9(b *testing.B) {
-	rng := rand.New(rand.NewSource(27))
-	x := randReal(rng, 256)
-	k := randReal(rng, 9)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ConvFFT(x, k)
+		CorrValid(x, k)
 	}
 }

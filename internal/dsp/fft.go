@@ -42,25 +42,6 @@ func NextPowerOfTwo(n int) int {
 	return p
 }
 
-// FFT returns the discrete Fourier transform of x. The input is not
-// modified. Any positive length is supported; power-of-two lengths use
-// radix-2 Cooley-Tukey directly, others go through Bluestein's algorithm.
-func FFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	FFTInPlace(out)
-	return out
-}
-
-// IFFT returns the inverse discrete Fourier transform of x (with the 1/N
-// scale). The input is not modified.
-func IFFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	IFFTInPlace(out)
-	return out
-}
-
 // FFTInPlace computes the DFT of x in place. It routes through the
 // package-level plan cache (see PlanFFT), so repeated transforms of the
 // same length reuse precomputed twiddle tables and allocate nothing.
@@ -80,37 +61,15 @@ func IFFTInPlace(x []complex128) {
 	PlanFFT(len(x), true).Execute(x)
 }
 
-// FFTShift rotates x so the zero-frequency bin moves to the centre, the way
-// an optical Fourier plane presents it (DC at the optical axis). For even N
-// the split is symmetric; for odd N the extra sample lands on the left half,
-// matching numpy's fftshift.
-func FFTShift(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	half := (n + 1) / 2
-	copy(out, x[half:])
-	copy(out[n-half:], x[:half])
-	return out
-}
-
-// IFFTShift undoes FFTShift for any length.
-func IFFTShift(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	half := (n + 1) / 2
-	copy(out[half:], x[:n-half])
-	copy(out, x[n-half:])
-	return out
-}
-
-// FFTShiftInPlace is FFTShift without the allocation: x is rotated in
-// place so the zero-frequency bin moves to the centre. Used on hot paths
-// that present a Fourier plane per call (the 4F correlator).
+// FFTShiftInPlace rotates x in place so the zero-frequency bin moves to
+// the centre, the way an optical Fourier plane presents it (DC at the
+// optical axis). For even N the split is symmetric; for odd N the extra
+// sample lands on the left half, matching numpy's fftshift.
 func FFTShiftInPlace(x []complex128) {
 	rotateLeft(x, (len(x)+1)/2)
 }
 
-// IFFTShiftInPlace undoes FFTShiftInPlace (and FFTShift) in place.
+// IFFTShiftInPlace undoes FFTShiftInPlace in place, for any length.
 func IFFTShiftInPlace(x []complex128) {
 	rotateLeft(x, len(x)/2)
 }

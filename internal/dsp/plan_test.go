@@ -164,7 +164,6 @@ func TestPlanConcurrentLookupsAndExecutes(t *testing.T) {
 					append([]complex128(nil), inputs[8]...),
 				}
 				FFT2D(m)
-				IFFT2D(m)
 			}
 		}(g)
 	}

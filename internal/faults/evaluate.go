@@ -19,50 +19,53 @@ type Report struct {
 }
 
 // Evaluate runs the bottom-up model for one network on the degraded
-// machine: the fault set is mapped onto the dataflow (Degrade), the
-// effective configuration is evaluated exactly like a healthy one, and
-// the area-normalized metrics are restored to the physical chip's area.
-// With a zero fault set the embedded report is bit-identical to
-// arch.Evaluate's. A fault set that leaves nothing runnable returns
-// ErrNothingRuns rather than any number.
+// machine (see EvaluateAllCtx). With a zero fault set the embedded
+// report is bit-identical to arch.Evaluate's. A fault set that leaves
+// nothing runnable returns ErrNothingRuns rather than any number.
 func Evaluate(cfg arch.SystemConfig, fs FaultSet, net nn.Network) (Report, error) {
-	reports, err := EvaluateAllCtx(context.Background(), cfg, fs, []nn.Network{net})
+	reports, deg, err := EvaluateAllCtx(context.Background(), cfg, &fs, []nn.Network{net})
 	if err != nil {
 		return Report{}, err
 	}
-	return reports[0], nil
+	return Report{Report: reports[0], Degradation: *deg}, nil
 }
 
-// EvaluateAllCtx evaluates every network on the degraded machine,
-// fanning out like arch.EvaluateAllCtx and honoring cancellation
-// between networks. Degrade runs once; all reports share its remapping.
-func EvaluateAllCtx(ctx context.Context, cfg arch.SystemConfig, fs FaultSet, nets []nn.Network) ([]Report, error) {
+// EvaluateAllCtx is the one evaluation of a design point on a set of
+// networks, healthy or degraded, fanning out like arch.EvaluateAllCtx and
+// honoring cancellation between networks. A nil fs is the healthy
+// machine: the reports are arch.EvaluateAllCtx's and the Degradation is
+// nil. Otherwise the fault set is mapped onto the dataflow once
+// (Degrade), the effective configuration is evaluated exactly like a
+// healthy one, and the area-normalized metrics are restored to the
+// physical chip's area; every report follows the returned remapping. A
+// zero fault set gives reports bit-identical to the healthy machine's.
+func EvaluateAllCtx(ctx context.Context, cfg arch.SystemConfig, fs *FaultSet, nets []nn.Network) ([]arch.Report, *Degradation, error) {
+	if fs == nil {
+		reports, err := arch.EvaluateAllCtx(ctx, cfg, nets)
+		return reports, nil, err
+	}
 	eff, deg, err := fs.Degrade(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	inner, err := arch.EvaluateAllCtx(ctx, eff, nets)
+	reports, err := arch.EvaluateAllCtx(ctx, eff, nets)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := make([]Report, len(inner))
-	var physArea arch.AreaBreakdown
 	if !fs.IsZero() {
 		// The effective config priced power on healthy units only
 		// (dead ones are power-gated), but the chip's footprint is the
 		// nominal design's.
-		physArea, err = arch.ComputeArea(cfg)
+		physArea, err := arch.ComputeArea(cfg)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-	}
-	for i, r := range inner {
-		if !fs.IsZero() {
+		for i := range reports {
+			r := &reports[i]
 			r.Area = physArea
 			r.FPSPerMM2 = r.FPS / (physArea.Total() / 1e-6)
 			r.PAP = r.FPSPerWatt * r.FPSPerMM2
 		}
-		out[i] = Report{Report: r, Degradation: deg}
 	}
-	return out, nil
+	return reports, &deg, nil
 }

@@ -74,6 +74,19 @@ func (f FaultSet) IsZero() bool {
 		f.PDResponsivityDrop == 0
 }
 
+// ForConfig validates the fault set against the design point and returns
+// the set to evaluate: nil for a zero set, which is the healthy machine,
+// so a set that breaks nothing is never reported as a degradation.
+func (f FaultSet) ForConfig(cfg arch.SystemConfig) (*FaultSet, error) {
+	if err := f.Validate(cfg); err != nil {
+		return nil, err
+	}
+	if f.IsZero() {
+		return nil, nil
+	}
+	return &f, nil
+}
+
 // Validate reports fault sets that do not describe the given design
 // point: out-of-range or duplicate unit indices, negative loss, or
 // deratings outside their domain.

@@ -38,11 +38,13 @@ func namedFaultSet() FaultSet {
 }
 
 // TestZeroFaultBitIdentical: degrading with a zero fault set returns the
-// config unchanged and an evaluation bit-identical to arch.Evaluate —
-// the existing golden report (pinned in internal/arch) is untouched.
+// config unchanged, and on every preset and registry network the one
+// evaluate call gives bit-identical reports for a nil fault set, a zero
+// fault set and arch.EvaluateAllCtx — the existing golden report (pinned
+// in internal/arch) is untouched. A nil set reports no degradation; a
+// non-nil one reports exactly Degrade's record.
 func TestZeroFaultBitIdentical(t *testing.T) {
 	cfg := arch.FB()
-	net := testNet(t)
 	eff, deg, err := FaultSet{}.Degrade(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -53,13 +55,51 @@ func TestZeroFaultBitIdentical(t *testing.T) {
 	if deg.HealthyRFCUs != cfg.NRFCU || deg.EffectiveLambda != cfg.NLambda || deg.EffectiveReuses != cfg.Reuses {
 		t.Errorf("zero fault set degradation not the identity: %+v", deg)
 	}
-	got, err := Evaluate(cfg, FaultSet{}, net)
+	got, err := Evaluate(cfg, FaultSet{}, testNet(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := arch.MustEvaluate(cfg, net)
-	if got.Report != want {
+	if want := arch.MustEvaluate(cfg, testNet(t)); got.Report != want {
 		t.Errorf("zero-fault report differs from arch.Evaluate:\ngot  %+v\nwant %+v", got.Report, want)
+	}
+
+	ctx := context.Background()
+	nets := nn.Networks()
+	for _, p := range arch.Presets() {
+		cfg := p.Build()
+		want, err := arch.EvaluateAllCtx(ctx, cfg, nets)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		healthy, deg, err := EvaluateAllCtx(ctx, cfg, nil, nets)
+		if err != nil || deg != nil {
+			t.Fatalf("%s: nil fault set: degradation %+v, err %v", p.Name, deg, err)
+		}
+		zero, zeroDeg, err := EvaluateAllCtx(ctx, cfg, &FaultSet{}, nets)
+		if err != nil {
+			t.Fatalf("%s: zero fault set: %v", p.Name, err)
+		}
+		_, wantDeg, err := FaultSet{}.Degrade(cfg)
+		if err != nil || zeroDeg == nil || *zeroDeg != wantDeg {
+			t.Errorf("%s: zero fault set degradation %+v, want %+v (err %v)", p.Name, zeroDeg, wantDeg, err)
+		}
+		for i, net := range nets {
+			if healthy[i] != want[i] || zero[i] != want[i] {
+				t.Errorf("%s on %s: reports differ from arch.EvaluateAllCtx:\nnil  %+v\nzero %+v\nwant %+v", p.Name, net.Name, healthy[i], zero[i], want[i])
+			}
+		}
+
+		fs := namedFaultSet()
+		if fs.Validate(cfg) != nil {
+			continue // the named set's units do not exist on this preset
+		}
+		_, wantDeg, err = fs.Degrade(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if _, gotDeg, err := EvaluateAllCtx(ctx, cfg, &fs, nets); err != nil || gotDeg == nil || *gotDeg != wantDeg {
+			t.Errorf("%s: named fault set degradation %+v, want %+v (err %v)", p.Name, gotDeg, wantDeg, err)
+		}
 	}
 }
 
@@ -301,11 +341,11 @@ func TestEvaluateDeterministic(t *testing.T) {
 	cfg := arch.FB()
 	fs := namedFaultSet()
 	nets := nn.Benchmarks()
-	a, err := EvaluateAllCtx(context.Background(), cfg, fs, nets)
+	a, _, err := EvaluateAllCtx(context.Background(), cfg, &fs, nets)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EvaluateAllCtx(context.Background(), cfg, fs, nets)
+	b, _, err := EvaluateAllCtx(context.Background(), cfg, &fs, nets)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,6 +42,16 @@ func (m MonteCarloModel) Validate() error {
 	return nil
 }
 
+// OrDefault returns m, or for the zero model the one robustness campaigns
+// and yield-scored searches default to: 2% RFCU and 1% wavelength
+// failure probability and a 0.5 dB buffer-loss σ.
+func (m MonteCarloModel) OrDefault() MonteCarloModel {
+	if m == (MonteCarloModel{}) {
+		return MonteCarloModel{RFCUFailProb: 0.02, WavelengthFailProb: 0.01, BufferLossSigmaDB: 0.5}
+	}
+	return m
+}
+
 // Sample draws one fault set for the design point. The draw order is
 // fixed (RFCUs, then every (RFCU, wavelength) pair, then the loss), so
 // a given rng state always yields the same fault set.
@@ -121,8 +131,8 @@ type YieldResult struct {
 	Energy Distribution
 }
 
-// metricEnergy extracts energy per inference for geomean aggregation.
-var metricEnergy arch.Metric = func(r arch.Report) float64 { return r.Energy }
+// MetricEnergy extracts energy per inference for geomean aggregation.
+var MetricEnergy arch.Metric = func(r arch.Report) float64 { return r.Energy }
 
 // YieldSweep samples trials fault sets from the model and evaluates the
 // degraded design point on every network, fanning trials out across
@@ -144,14 +154,14 @@ func YieldSweep(ctx context.Context, cfg arch.SystemConfig, nets []nn.Network, m
 	sweepSpan.SetAttr("config", cfg.Name)
 	sweepSpan.SetAttr("trials", trials)
 	defer sweepSpan.End()
-	nominal, err := arch.EvaluateAllCtx(ctx, cfg, nets)
+	nominal, _, err := EvaluateAllCtx(ctx, cfg, nil, nets)
 	if err != nil {
 		return YieldResult{}, err
 	}
 	res := YieldResult{
 		Trials:        trials,
 		NominalFPS:    arch.GeoMean(nominal, arch.MetricFPS),
-		NominalEnergy: arch.GeoMean(nominal, metricEnergy),
+		NominalEnergy: arch.GeoMean(nominal, MetricEnergy),
 	}
 
 	rng := rand.New(rand.NewSource(seed))
@@ -174,16 +184,12 @@ func YieldSweep(ctx context.Context, cfg arch.SystemConfig, nets []nn.Network, m
 			trialSpan.SetAttr("hard_failure", outcomes[i].failed)
 			trialSpan.End()
 		}()
-		reports, err := EvaluateAllCtx(ctx, cfg, sets[i], nets)
+		reports, _, err := EvaluateAllCtx(ctx, cfg, &sets[i], nets)
 		switch {
 		case err == nil:
-			inner := make([]arch.Report, len(reports))
-			for j, r := range reports {
-				inner[j] = r.Report
-			}
 			outcomes[i] = trial{
-				fps:    arch.GeoMean(inner, arch.MetricFPS),
-				energy: arch.GeoMean(inner, metricEnergy),
+				fps:    arch.GeoMean(reports, arch.MetricFPS),
+				energy: arch.GeoMean(reports, MetricEnergy),
 			}
 		case errors.Is(err, ErrNothingRuns):
 			outcomes[i] = trial{failed: true}

@@ -13,6 +13,9 @@ package job
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -48,6 +51,32 @@ type Spec[S any] interface {
 	ID() (string, error)
 	// Budget is the number of cells the job runs at most.
 	Budget() int
+}
+
+// Digest returns the SHA-256 hex digest of v's JSON encoding: every
+// kind's job ID, hashed from the identity struct its Spec.ID fills in.
+func Digest(v any) (string, error) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:]), nil
+}
+
+// CellSeed derives the deterministic seed of cell {major, minor} from a
+// job's root seed with a splitmix-style mix. Seeds depend only on the
+// indices — never on execution order, worker count or resume history —
+// which is what makes a killed-and-restarted job's result byte-identical
+// to an uninterrupted run's.
+func CellSeed(seed int64, major, minor int) int64 {
+	h := uint64(seed) * 0x9E3779B97F4A7C15
+	h ^= uint64(major+1) * 0xBF58476D1CE4E5B9
+	h ^= uint64(minor+1) * 0x94D049BB133111EB
+	h ^= h >> 31
+	h *= 0xBF58476D1CE4E5B9
+	h ^= h >> 29
+	return int64(h)
 }
 
 // Progress is a job's state as the lifecycle tracks it, the input of a

@@ -175,18 +175,41 @@ func TestRunnerCellsResumeAndCheckpoint(t *testing.T) {
 	}
 }
 
+// TestCellSeed: cell seeds are distinct across a grid, depend only on
+// (seed, major, minor), and change with the root seed.
+func TestCellSeed(t *testing.T) {
+	seen := make(map[int64]Cell)
+	for major := 0; major < 8; major++ {
+		for minor := 0; minor < 64; minor++ {
+			s := CellSeed(7, major, minor)
+			if prev, ok := seen[s]; ok {
+				t.Fatalf("seed collision: (%d,%d) and %v both map to %d", major, minor, prev, s)
+			}
+			seen[s] = Cell{major, minor}
+			if s != CellSeed(7, major, minor) {
+				t.Fatal("CellSeed is not a pure function")
+			}
+		}
+	}
+	if CellSeed(7, 0, 0) == CellSeed(8, 0, 0) {
+		t.Error("different root seeds produced the same cell seed")
+	}
+}
+
 // TestManagerAttachBusyAndFail: a resubmitted spec attaches to its
 // running job, a second job past the limit is ErrBusy, and an
 // evaluation error fails the job with its message.
 func TestManagerAttachBusyAndFail(t *testing.T) {
 	release := make(chan struct{})
 	m, err := NewManager(toyKind("", func(ctx context.Context, c Cell) (toyRecord, error) {
-		if c[1] == 3 {
-			return toyRecord{}, errors.New("cell exploded")
-		}
+		// Every cell, the failing one included, waits for release, so
+		// the job is still running when the test resubmits its spec.
 		select {
 		case <-release:
 		case <-ctx.Done():
+		}
+		if c[1] == 3 {
+			return toyRecord{}, errors.New("cell exploded")
 		}
 		return square(ctx, c)
 	}), "", 1, Hooks[toyRecord]{})

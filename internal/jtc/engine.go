@@ -197,11 +197,13 @@ func (e *Engine) Conv2DCtx(ctx context.Context, input, weights *tensor.Tensor, s
 	opScale := inputScale * weightScale
 	workers := e.parallelism(f)
 	layerSpan := obs.StartSpan(ctx, "jtc.conv2d")
-	layerSpan.SetAttr("filters", f)
-	layerSpan.SetAttr("channels", c)
-	layerSpan.SetAttr("input", fmt.Sprintf("%dx%d", h, w))
-	layerSpan.SetAttr("kernel", fmt.Sprintf("%dx%d", kh, kw))
-	layerSpan.SetAttr("workers", workers)
+	if layerSpan != nil {
+		layerSpan.SetAttr("filters", f)
+		layerSpan.SetAttr("channels", c)
+		layerSpan.SetAttr("input", fmt.Sprintf("%dx%d", h, w))
+		layerSpan.SetAttr("kernel", fmt.Sprintf("%dx%d", kh, kw))
+		layerSpan.SetAttr("workers", workers)
+	}
 
 	// The kernel-row split and each group's pass tally depend on the
 	// layer shape alone; both datapaths walk the same groups.
@@ -209,8 +211,9 @@ func (e *Engine) Conv2DCtx(ctx context.Context, input, weights *tensor.Tensor, s
 
 	if workers == 1 {
 		var st PassStats
+		rows := make([][]float64, 2*c*kh)
 		for fi := 0; fi < f; fi++ {
-			e.convFilter(ctx, out, inPlanes, groups, posW, negW, fi, kh, kw, opScale, &st)
+			e.convFilter(ctx, out, inPlanes, groups, posW, negW, rows, fi, kh, kw, opScale, &st)
 		}
 		e.mu.Lock()
 		e.stats.Add(st)
@@ -223,8 +226,9 @@ func (e *Engine) Conv2DCtx(ctx context.Context, input, weights *tensor.Tensor, s
 			go func(wi int) {
 				defer wg.Done()
 				wctx := obs.Lane(ctx)
+				rows := make([][]float64, 2*c*kh)
 				for fi := wi; fi < f; fi += workers {
-					e.convFilter(wctx, out, inPlanes, groups, posW, negW, fi, kh, kw, opScale, &perWorker[wi])
+					e.convFilter(wctx, out, inPlanes, groups, posW, negW, rows, fi, kh, kw, opScale, &perWorker[wi])
 				}
 			}(wi)
 		}
@@ -254,20 +258,29 @@ func (e *Engine) Conv2DCtx(ctx context.Context, input, weights *tensor.Tensor, s
 
 // convFilter computes one output filter: optical accumulation over channel
 // groups, the pseudo-negative subtraction, and the operand-scale undo,
-// writing into out's (disjoint) filter-fi region. st receives the pass
+// writing into out's (disjoint) filter-fi region. rows is the calling
+// worker's row-header scratch (2·C·KH entries), repointed at each filter's
+// kernels so no header is allocated per kernel. st receives the pass
 // statistics; callers running convFilter concurrently hand each worker its
-// own tally and merge after the barrier.
-func (e *Engine) convFilter(ctx context.Context, out *tensor.Tensor, inPlanes [][][]float64, groups []rowGroup, posW, negW []float64, fi, kh, kw int, opScale float64, st *PassStats) {
+// own rows and tally and merge the tallies after the barrier.
+func (e *Engine) convFilter(ctx context.Context, out *tensor.Tensor, inPlanes [][][]float64, groups []rowGroup, posW, negW []float64, rows [][]float64, fi, kh, kw int, opScale float64, st *PassStats) {
 	c := len(inPlanes)
 	h, w := len(inPlanes[0]), len(inPlanes[0][0])
 	oh, ow := h-kh+1, w-kw+1
+	// Point the worker's row headers at the filter's kernels: split part
+	// kernel ci is posRows (negRows) [ci·kh, (ci+1)·kh).
+	n := c * kh
+	posRows, negRows := rows[:n], rows[n:]
+	for i := range posRows {
+		posRows[i] = posW[(fi*n+i)*kw : (fi*n+i+1)*kw]
+		negRows[i] = negW[(fi*n+i)*kw : (fi*n+i+1)*kw]
+	}
 	// The filter's digital accumulator, the photodetector charge wells
 	// every accumulation window reuses, and one output row of scratch for
 	// the direct datapath.
 	buf := make([]float64, (2*oh+1)*ow)
 	acc, well, row := buf[:oh*ow], buf[oh*ow:2*oh*ow], buf[2*oh*ow:]
 	filterSpan := obs.StartSpan(ctx, "jtc.filter")
-	filterSpan.SetAttr("filter", fi)
 	passesBefore := st.Passes
 	// Channel groups of M accumulate optically; groups accumulate
 	// digitally after ADC readout.
@@ -277,8 +290,8 @@ func (e *Engine) convFilter(ctx context.Context, out *tensor.Tensor, inPlanes []
 		if cn > c {
 			cn = c
 		}
-		e.accumulateGroup(ctx, acc, well, row, inPlanes, groups, posW, fi, c0, cn, kh, kw, +1, st)
-		e.accumulateGroup(ctx, acc, well, row, inPlanes, groups, negW, fi, c0, cn, kh, kw, -1, st)
+		e.accumulateGroup(ctx, acc, well, row, inPlanes, groups, posRows, c0, cn, kh, kw, +1, st)
+		e.accumulateGroup(ctx, acc, well, row, inPlanes, groups, negRows, c0, cn, kh, kw, -1, st)
 	}
 	// Undo the operand scales in the digital domain.
 	for y := 0; y < oh; y++ {
@@ -286,35 +299,39 @@ func (e *Engine) convFilter(ctx context.Context, out *tensor.Tensor, inPlanes []
 			out.Data[(fi*oh+y)*ow+x] = acc[y*ow+x] * opScale
 		}
 	}
-	filterSpan.SetAttr("passes", st.Passes-passesBefore)
-	filterSpan.End()
+	if filterSpan != nil {
+		filterSpan.SetAttr("filter", fi)
+		filterSpan.SetAttr("passes", st.Passes-passesBefore)
+		filterSpan.End()
+	}
 }
 
 // accumulateGroup runs one temporal-accumulation window: channels
-// [c0,cn) of filter fi through the JTC, detector-accumulated in well, one
-// ADC readout, then added into acc with the given sign (the
-// pseudo-negative subtraction happens here). row is the direct
+// [c0,cn) of one filter, whose kernel ci is rows[ci·kh:(ci+1)·kh],
+// through the JTC, detector-accumulated in well, one ADC readout, then
+// added into acc with the given sign (the pseudo-negative subtraction
+// happens here). row is the direct
 // datapath's output-row scratch. Pass counts tally into st, never into
 // the engine's shared stats, so concurrent workers do not contend.
-func (e *Engine) accumulateGroup(ctx context.Context, acc, well, row []float64, inPlanes [][][]float64, groups []rowGroup, w []float64, fi, c0, cn, kh, kw int, sign float64, st *PassStats) {
-	c := len(inPlanes)
+func (e *Engine) accumulateGroup(ctx context.Context, acc, well, row []float64, inPlanes [][][]float64, groups []rowGroup, rows [][]float64, c0, cn, kh, kw int, sign float64, st *PassStats) {
 	h := len(inPlanes[0])
 	width := len(inPlanes[0][0])
 	oh, ow := h-kh+1, width-kw+1
-	windowSpan := obs.StartSpan(ctx, "jtc.window")
-	windowSpan.SetAttr("channels", fmt.Sprintf("%d-%d", c0, cn-1))
-	windowSpan.SetAttr("sign", sign)
-	passesBefore := st.Passes
-	defer func() {
-		windowSpan.SetAttr("passes", st.Passes-passesBefore)
-		windowSpan.End()
-	}()
+	if windowSpan := obs.StartSpan(ctx, "jtc.window"); windowSpan != nil {
+		windowSpan.SetAttr("channels", fmt.Sprintf("%d-%d", c0, cn-1))
+		windowSpan.SetAttr("sign", sign)
+		passesBefore := st.Passes
+		defer func() {
+			windowSpan.SetAttr("passes", st.Passes-passesBefore)
+			windowSpan.End()
+		}()
+	}
 
 	clear(well)
 	var maxSingle float64
 	any := false
 	for ci := c0; ci < cn; ci++ {
-		kernel := asPlane(w[((fi*c+ci)*kh)*kw:((fi*c+ci)*kh+kh)*kw], kh, kw)
+		kernel := rows[ci*kh : (ci+1)*kh]
 		if planeIsZero(kernel) {
 			// An all-zero split part: its weight DACs stay dark and no
 			// pass is issued.

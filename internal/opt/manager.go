@@ -60,7 +60,7 @@ type CandidateResult struct {
 	Index int
 	// Candidate is the proposed point as axis indices into the space.
 	Candidate Candidate
-	// Seed is CandidateSeed(spec.Seed, Gen, Index), driving the
+	// Seed is job.CellSeed(spec.Seed, Gen, Index), driving the
 	// candidate's yield sweep when the search samples one.
 	Seed int64
 	// M, NRFCU, NLambda and Reuses are the resolved axis values.

@@ -20,8 +20,6 @@
 package opt
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,7 +27,7 @@ import (
 
 	"refocus/internal/arch"
 	"refocus/internal/faults"
-	"refocus/internal/nn"
+	"refocus/internal/job"
 	"refocus/internal/sim"
 )
 
@@ -179,10 +177,10 @@ func (s Spec) WithDefaults() Spec {
 	if len(s.Space.Reuses) == 0 {
 		s.Space.Reuses = def.Reuses
 	}
-	if base, err := s.ResolveConfig(); err == nil && base.Buffer != arch.Feedback {
+	if t, err := s.target(); err == nil && t.Config.Buffer != arch.Feedback {
 		// Reuse count only exists for the feedback buffer: collapse the
 		// axis so the identity and the budget reflect the real grid.
-		s.Space.Reuses = []int{base.Reuses}
+		s.Space.Reuses = []int{t.Config.Reuses}
 	}
 	if len(s.Objectives) == 0 {
 		s.Objectives = []Objective{ObjectiveFPS, ObjectiveFPSPerWatt, ObjectiveFPSPerMM2, ObjectivePAP}
@@ -199,9 +197,8 @@ func (s Spec) WithDefaults() Spec {
 	if s.Population == 0 {
 		s.Population = DefaultPopulation
 	}
-	var zeroModel faults.MonteCarloModel
-	if s.YieldTrials > 0 && s.Model == zeroModel {
-		s.Model = faults.MonteCarloModel{RFCUFailProb: 0.02, WavelengthFailProb: 0.01, BufferLossSigmaDB: 0.5}
+	if s.YieldTrials > 0 {
+		s.Model = s.Model.OrDefault()
 	}
 	return s
 }
@@ -211,10 +208,7 @@ func (s Spec) WithDefaults() Spec {
 // submit time, not generations deep into the search. Call on the
 // defaulted form.
 func (s Spec) Validate() error {
-	if _, err := s.ResolveConfig(); err != nil {
-		return err
-	}
-	if _, err := s.ResolveNetworks(); err != nil {
+	if _, err := s.target(); err != nil {
 		return err
 	}
 	axes := []struct {
@@ -292,32 +286,11 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// ResolveConfig turns the spec's base design-point naming into a
-// validated arch.SystemConfig, by the preset-or-config rule of
-// sim.ResolveDesignPoint that the serving layer also speaks.
-func (s Spec) ResolveConfig() (arch.SystemConfig, error) {
-	cfg, err := sim.ResolveDesignPoint(s.Preset, s.Config)
-	if err != nil {
-		return cfg, err
-	}
-	return cfg, cfg.Validate()
-}
-
-// ResolveNetworks resolves the spec's workload name to the network set
-// objectives are measured on.
-func (s Spec) ResolveNetworks() ([]nn.Network, error) {
-	nets, _, err := s.workload()
-	return nets, err
-}
-
-// workload resolves the spec's workload name to its networks and their
-// canonical hashes, as the registry computed them.
-func (s Spec) workload() ([]nn.Network, []string, error) {
-	name := s.Network
-	if name == "" {
-		name = DefaultNetwork
-	}
-	return sim.ResolveWorkload(name)
+// target resolves the spec's base design point and workload
+// (sim.ResolveTarget): the preset-or-config rule the serving layer also
+// speaks, and the registry entries objectives are measured on.
+func (s Spec) target() (sim.Target, error) {
+	return sim.ResolveTarget(s.Preset, s.Config, s.Network)
 }
 
 // searchIdentity is the hashed form of a spec: the base design point and
@@ -345,19 +318,15 @@ type searchIdentity struct {
 // defaulted spec's canonical form. It names the checkpoint file and the
 // GET /v1/optimize/{id} handle. Call on the defaulted form.
 func (s Spec) ID() (string, error) {
-	cfg, err := s.ResolveConfig()
+	t, err := s.target()
 	if err != nil {
 		return "", err
 	}
-	cfgHash, err := arch.ConfigHash(cfg)
+	cfgHash, netHashes, err := t.Identity()
 	if err != nil {
 		return "", err
 	}
-	_, netHashes, err := s.workload()
-	if err != nil {
-		return "", err
-	}
-	idt := searchIdentity{
+	id, err := job.Digest(searchIdentity{
 		Name:          s.Name,
 		ConfigHash:    cfgHash,
 		NetworkHashes: netHashes,
@@ -371,38 +340,20 @@ func (s Spec) ID() (string, error) {
 		Seed:          s.Seed,
 		YieldTrials:   s.YieldTrials,
 		Model:         s.Model,
-	}
-	data, err := json.Marshal(idt)
+	})
 	if err != nil {
 		return "", fmt.Errorf("opt: encoding search identity: %w", err)
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	return id, nil
 }
 
 // Budget is the search's budget bound: generations × population.
 func (s Spec) Budget() int { return s.Generations * s.Population }
 
-// CandidateSeed derives the deterministic seed of one (generation,
-// index) cell from the search seed with a splitmix-style mix — the same
-// construction as robust.TrialSeed. Seeds depend only on the cell
-// indices, never on execution order, worker count or resume history,
-// which is what makes a killed-and-restarted search's front
-// byte-identical to an uninterrupted run's.
-func CandidateSeed(seed int64, gen, index int) int64 {
-	h := uint64(seed) * 0x9E3779B97F4A7C15
-	h ^= uint64(gen+1) * 0xBF58476D1CE4E5B9
-	h ^= uint64(index+1) * 0x94D049BB133111EB
-	h ^= h >> 31
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 29
-	return int64(h)
-}
-
 // generationSeed seeds one generation's proposal RNG; the out-of-band
 // index keeps it distinct from every candidate's own seed.
 func generationSeed(seed int64, gen int) int64 {
-	return CandidateSeed(seed, gen, 1<<30)
+	return job.CellSeed(seed, gen, 1<<30)
 }
 
 // Metrics is the objective-bearing measurement of one candidate: the

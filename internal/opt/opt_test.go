@@ -1,8 +1,12 @@
 package opt
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"refocus/internal/arch"
+	"refocus/internal/job"
 )
 
 func TestWithDefaults(t *testing.T) {
@@ -140,13 +144,30 @@ func TestIDStableAndDiscriminating(t *testing.T) {
 	}
 }
 
+// TestCandidateSeed: a candidate's recorded seed depends only on the
+// search's root seed and its (generation, index) cell (job.CellSeed), is
+// distinct across cells and from every generation's proposal seed, and
+// changes with the root seed.
 func TestCandidateSeed(t *testing.T) {
+	eval := func(context.Context, Spec, arch.SystemConfig, string) (PointMetrics, error) {
+		return PointMetrics{FPS: 1, FPSPerWatt: 1, FPSPerMM2: 1, PAP: 1, PowerW: 1, AreaMM2: 1}, nil
+	}
+	seedOf := func(spec Spec, gen, idx int) int64 {
+		t.Helper()
+		r := &Runner{Spec: spec, Eval: eval}
+		c, err := r.runPoint(context.Background(), newGrid(spec, arch.FB()), nil, gen, idx, Candidate{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Seed
+	}
+	spec := Spec{Preset: "fb", Seed: 42}.WithDefaults()
 	seen := make(map[int64]bool)
 	for gen := 0; gen < 8; gen++ {
 		for idx := 0; idx < 16; idx++ {
-			s := CandidateSeed(42, gen, idx)
-			if s != CandidateSeed(42, gen, idx) {
-				t.Fatal("CandidateSeed is not a pure function")
+			s := seedOf(spec, gen, idx)
+			if s != job.CellSeed(spec.Seed, gen, idx) || s != seedOf(spec, gen, idx) {
+				t.Fatalf("cell (%d,%d) seed %d is not job.CellSeed(%d, %d, %d)", gen, idx, s, spec.Seed, gen, idx)
 			}
 			if seen[s] {
 				t.Fatalf("seed collision at (%d,%d)", gen, idx)
@@ -154,7 +175,14 @@ func TestCandidateSeed(t *testing.T) {
 			seen[s] = true
 		}
 	}
-	if CandidateSeed(1, 0, 0) == CandidateSeed(2, 0, 0) {
+	for gen := 0; gen < 8; gen++ {
+		if seen[generationSeed(spec.Seed, gen)] {
+			t.Errorf("generation %d's proposal seed equals a candidate seed", gen)
+		}
+	}
+	other := spec
+	other.Seed = 43
+	if seedOf(spec, 0, 0) == seedOf(other, 0, 0) {
 		t.Error("different root seeds should give different cell seeds")
 	}
 }

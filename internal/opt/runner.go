@@ -62,11 +62,11 @@ func PointMetricsFromReports(reports []arch.Report) PointMetrics {
 // that does not sit behind the serving tier.
 func DirectEval() PointEval {
 	return func(ctx context.Context, spec Spec, cfg arch.SystemConfig, _ string) (PointMetrics, error) {
-		nets, err := spec.ResolveNetworks()
+		t, err := spec.target()
 		if err != nil {
 			return PointMetrics{}, err
 		}
-		reports, err := arch.EvaluateAllCtx(ctx, cfg, nets)
+		reports, err := arch.EvaluateAllCtx(ctx, cfg, t.Clones())
 		if err != nil {
 			return PointMetrics{}, err
 		}
@@ -214,19 +214,18 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		return nil, errors.New("opt: Runner.Eval is required")
 	}
 	spec := r.Spec
-	g, err := newGrid(spec)
+	t, err := spec.target()
 	if err != nil {
 		return nil, err
 	}
+	g := newGrid(spec, t.Config)
 	strat, err := strategyFor(spec.Strategy)
 	if err != nil {
 		return nil, err
 	}
 	var nets []nn.Network
 	if spec.YieldTrials > 0 {
-		if nets, err = spec.ResolveNetworks(); err != nil {
-			return nil, err
-		}
+		nets = t.Clones()
 	}
 	cells := &job.Cells[Spec, CandidateResult]{ID: r.ID, Spec: spec, Hooks: r.Hooks,
 		New: func() job.File[Spec, CandidateResult] { return new(Checkpoint) }}
@@ -332,7 +331,7 @@ func (r *Runner) runPoint(ctx context.Context, g *grid, nets []nn.Network, gen, 
 		Gen:       gen,
 		Index:     idx,
 		Candidate: cand,
-		Seed:      CandidateSeed(r.Spec.Seed, gen, idx),
+		Seed:      job.CellSeed(r.Spec.Seed, gen, idx),
 		M:         m,
 		NRFCU:     n,
 		NLambda:   l,

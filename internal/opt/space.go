@@ -14,17 +14,13 @@ type grid struct {
 	axes [NumAxes][]int
 }
 
-// newGrid resolves the spec's base config and axis lists. Call on the
-// defaulted, validated form.
-func newGrid(s Spec) (*grid, error) {
-	base, err := s.ResolveConfig()
-	if err != nil {
-		return nil, err
-	}
+// newGrid pairs the spec's axis lists with its resolved base config.
+// Call on the defaulted, validated form.
+func newGrid(s Spec, base arch.SystemConfig) *grid {
 	return &grid{
 		base: base,
 		axes: [NumAxes][]int{s.Space.M, s.Space.NRFCU, s.Space.NLambda, s.Space.Reuses},
-	}, nil
+	}
 }
 
 // dims returns the axis lengths.

@@ -57,7 +57,7 @@ type TrialResult struct {
 	// Severity indexes Spec.Severities; Trial indexes [0, Spec.Trials).
 	Severity int
 	Trial    int
-	// Seed is TrialSeed(spec.Seed, Severity, Trial), recorded so a trial
+	// Seed is job.CellSeed(spec.Seed, Severity, Trial), recorded so a trial
 	// can be replayed standalone.
 	Seed int64
 	// Failed marks a hard chip failure (faults.ErrNothingRuns): no

@@ -74,23 +74,43 @@ func marshalFrontier(t *testing.T, f []FrontierPoint) []byte {
 	return data
 }
 
-// TestTrialSeedIndexDerived: per-trial seeds are distinct across the
-// grid and depend only on (seed, severity, trial).
+// TestTrialSeedIndexDerived: every trial a campaign records carries the
+// seed of its (severity, trial) cell, job.CellSeed of the campaign seed,
+// whatever the parallelism; the seeds are distinct, and a different
+// campaign seed moves them.
 func TestTrialSeedIndexDerived(t *testing.T) {
-	seen := make(map[int64]string)
-	for sev := 0; sev < 8; sev++ {
-		for trial := 0; trial < 64; trial++ {
-			s := TrialSeed(7, sev, trial)
-			if prev, ok := seen[s]; ok {
-				t.Fatalf("seed collision: (%d,%d) and %s both map to %d", sev, trial, prev, s)
-			}
-			seen[s] = ""
-			if s != TrialSeed(7, sev, trial) {
-				t.Fatal("TrialSeed is not a pure function")
-			}
+	trialSeeds := func(spec Spec, par int) map[[2]int]int64 {
+		t.Helper()
+		dir := t.TempDir()
+		runCampaign(t, spec, dir, par)
+		cp, err := LoadCheckpoint(CheckpointPath(dir, mustID(t, spec)))
+		if err != nil {
+			t.Fatal(err)
 		}
+		out := make(map[[2]int]int64, len(cp.Done))
+		for _, tr := range cp.Done {
+			out[[2]int{tr.Severity, tr.Trial}] = tr.Seed
+		}
+		return out
 	}
-	if TrialSeed(7, 0, 0) == TrialSeed(8, 0, 0) {
+	spec := testSpec()
+	serial, parallel := trialSeeds(spec, 1), trialSeeds(spec, 4)
+	if total := len(spec.Severities) * spec.Trials; len(serial) != total {
+		t.Fatalf("campaign recorded %d trials, want %d", len(serial), total)
+	}
+	seen := make(map[int64]bool)
+	for cell, s := range serial {
+		if want := job.CellSeed(spec.Seed, cell[0], cell[1]); s != want || parallel[cell] != want {
+			t.Errorf("trial %v seeds %d (serial) and %d (parallel), want %d", cell, s, parallel[cell], want)
+		}
+		if seen[s] {
+			t.Errorf("seed collision at trial %v", cell)
+		}
+		seen[s] = true
+	}
+	reseeded := spec
+	reseeded.Seed++
+	if trialSeeds(reseeded, 1)[[2]int{0, 0}] == serial[[2]int{0, 0}] {
 		t.Error("different campaign seeds produced the same trial seed")
 	}
 }

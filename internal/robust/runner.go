@@ -29,35 +29,16 @@ type TrialMetrics struct {
 // in-process. A zero fault set asks for the nominal (healthy) machine.
 type TrialEval func(ctx context.Context, spec Spec, fs faults.FaultSet, routeKey string) (TrialMetrics, error)
 
-// metricEnergy extracts energy per inference for geomean aggregation.
-var metricEnergy arch.Metric = func(r arch.Report) float64 { return r.Energy }
-
 // DirectEval returns a TrialEval that evaluates in-process with no
 // cache or admission control — unit tests, offline tools and any caller
 // that does not sit behind the serving tier.
 func DirectEval() TrialEval {
 	return func(ctx context.Context, spec Spec, fs faults.FaultSet, _ string) (TrialMetrics, error) {
-		cfg, err := spec.ResolveConfig()
+		t, err := spec.target()
 		if err != nil {
 			return TrialMetrics{}, err
 		}
-		nets, err := spec.ResolveNetworks()
-		if err != nil {
-			return TrialMetrics{}, err
-		}
-		var reports []arch.Report
-		if fs.IsZero() {
-			reports, err = arch.EvaluateAllCtx(ctx, cfg, nets)
-		} else {
-			var degraded []faults.Report
-			degraded, err = faults.EvaluateAllCtx(ctx, cfg, fs, nets)
-			if err == nil {
-				reports = make([]arch.Report, len(degraded))
-				for i, d := range degraded {
-					reports[i] = d.Report
-				}
-			}
-		}
+		reports, _, err := faults.EvaluateAllCtx(ctx, t.Config, &fs, t.Clones())
 		if err != nil {
 			return TrialMetrics{}, err
 		}
@@ -70,7 +51,7 @@ func DirectEval() TrialEval {
 func TrialMetricsFromReports(reports []arch.Report) TrialMetrics {
 	return TrialMetrics{
 		FPS:    arch.GeoMean(reports, arch.MetricFPS),
-		Energy: arch.GeoMean(reports, metricEnergy),
+		Energy: arch.GeoMean(reports, faults.MetricEnergy),
 	}
 }
 
@@ -181,7 +162,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		return nil, errors.New("robust: Runner.Eval is required")
 	}
 	spec := r.Spec
-	cfg, err := spec.ResolveConfig()
+	t, err := spec.target()
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +200,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	}
 	err = cells.Run(ctx, r.Parallelism, pending,
 		func(ctx context.Context, c job.Cell) (TrialResult, error) {
-			return r.runTrial(ctx, cfg, har, c[0], c[1])
+			return r.runTrial(ctx, t.Config, har, c[0], c[1])
 		},
 		func(t TrialResult, completed int) {
 			point := frontierPoint(spec, t.Severity, cells.Row(t.Severity, spec.Trials))
@@ -261,7 +242,7 @@ func (r *Runner) runTrial(ctx context.Context, cfg arch.SystemConfig, har *harne
 	if err := ctx.Err(); err != nil {
 		return TrialResult{}, err
 	}
-	seed := TrialSeed(r.Spec.Seed, sev, trial)
+	seed := job.CellSeed(r.Spec.Seed, sev, trial)
 	severity := r.Spec.Severities[sev]
 	rng := rand.New(rand.NewSource(seed))
 	fs := r.Spec.ScaledModel(severity).Sample(rng, cfg)

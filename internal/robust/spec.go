@@ -21,16 +21,13 @@
 package robust
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 
-	"refocus/internal/arch"
 	"refocus/internal/faults"
-	"refocus/internal/nn"
+	"refocus/internal/job"
 	"refocus/internal/sim"
 )
 
@@ -97,7 +94,7 @@ type Spec struct {
 	// defaults to 16.
 	Trials int `json:",omitempty"`
 	// Seed is the campaign's root seed: per-trial seeds mix it with the
-	// severity and trial indices (TrialSeed), never with wall-clock or
+	// severity and trial indices (job.CellSeed), never with wall-clock or
 	// execution order.
 	Seed int64
 	// Retrain additionally retrains the reference net through each
@@ -135,10 +132,7 @@ func (s Spec) WithDefaults() Spec {
 	if s.Network == "" {
 		s.Network = DefaultNetwork
 	}
-	var zeroModel faults.MonteCarloModel
-	if s.Model == zeroModel {
-		s.Model = faults.MonteCarloModel{RFCUFailProb: 0.02, WavelengthFailProb: 0.01, BufferLossSigmaDB: 0.5}
-	}
+	s.Model = s.Model.OrDefault()
 	if len(s.Severities) == 0 {
 		s.Severities = []float64{0, 0.5, 1}
 	}
@@ -174,10 +168,7 @@ func (s Spec) WithDefaults() Spec {
 // and workload eagerly, so a bad preset or network name fails at submit
 // time, not trials deep into the campaign. Call on the defaulted form.
 func (s Spec) Validate() error {
-	if _, err := s.ResolveConfig(); err != nil {
-		return err
-	}
-	if _, err := s.ResolveNetworks(); err != nil {
+	if _, err := s.target(); err != nil {
 		return err
 	}
 	if err := s.Model.Validate(); err != nil {
@@ -220,32 +211,11 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// ResolveConfig turns the spec's design-point naming into a validated
-// arch.SystemConfig, by the preset-or-config rule of
-// sim.ResolveDesignPoint that the serving layer also speaks.
-func (s Spec) ResolveConfig() (arch.SystemConfig, error) {
-	cfg, err := sim.ResolveDesignPoint(s.Preset, s.Config)
-	if err != nil {
-		return cfg, err
-	}
-	return cfg, cfg.Validate()
-}
-
-// ResolveNetworks resolves the spec's workload name to the network set
-// trial throughput is measured on.
-func (s Spec) ResolveNetworks() ([]nn.Network, error) {
-	nets, _, err := s.workload()
-	return nets, err
-}
-
-// workload resolves the spec's workload name to its networks and their
-// canonical hashes, as the registry computed them.
-func (s Spec) workload() ([]nn.Network, []string, error) {
-	name := s.Network
-	if name == "" {
-		name = DefaultNetwork
-	}
-	return sim.ResolveWorkload(name)
+// target resolves the spec's design point and workload
+// (sim.ResolveTarget): the preset-or-config rule the serving layer also
+// speaks, and the registry entries trial throughput is measured on.
+func (s Spec) target() (sim.Target, error) {
+	return sim.ResolveTarget(s.Preset, s.Config, s.Network)
 }
 
 // ScaledModel returns the fault model at one severity multiplier:
@@ -288,19 +258,15 @@ type campaignIdentity struct {
 // the GET /v1/robustness/{id} handle, and doubles as the route-key
 // prefix sharding trials across a cluster. Call on the defaulted form.
 func (s Spec) ID() (string, error) {
-	cfg, err := s.ResolveConfig()
+	t, err := s.target()
 	if err != nil {
 		return "", err
 	}
-	cfgHash, err := arch.ConfigHash(cfg)
+	cfgHash, netHashes, err := t.Identity()
 	if err != nil {
 		return "", err
 	}
-	_, netHashes, err := s.workload()
-	if err != nil {
-		return "", err
-	}
-	idt := campaignIdentity{
+	id, err := job.Digest(campaignIdentity{
 		Name:          s.Name,
 		ConfigHash:    cfgHash,
 		NetworkHashes: netHashes,
@@ -311,29 +277,12 @@ func (s Spec) ID() (string, error) {
 		Retrain:       s.Retrain,
 		Device:        s.Device,
 		Task:          s.Task,
-	}
-	data, err := json.Marshal(idt)
+	})
 	if err != nil {
 		return "", fmt.Errorf("robust: encoding campaign identity: %w", err)
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	return id, nil
 }
 
 // Budget is the campaign's trial count: severities × trials.
 func (s Spec) Budget() int { return len(s.Severities) * s.Trials }
-
-// TrialSeed derives the deterministic seed of one (severity, trial) cell
-// from the campaign seed with a splitmix-style mix. Seeds depend only on
-// the indices — never on execution order, worker count or resume
-// history — which is what makes a killed-and-restarted campaign's
-// frontier byte-identical to an uninterrupted run's.
-func TrialSeed(seed int64, severity, trial int) int64 {
-	h := uint64(seed) * 0x9E3779B97F4A7C15
-	h ^= uint64(severity+1) * 0xBF58476D1CE4E5B9
-	h ^= uint64(trial+1) * 0x94D049BB133111EB
-	h ^= h >> 31
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 29
-	return int64(h)
-}

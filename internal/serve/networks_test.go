@@ -32,8 +32,8 @@ func TestNetworksEndpoint(t *testing.T) {
 			t.Errorf("%s and %s share a hash", info.Name, prev)
 		}
 		seen[info.Hash] = info.Name
-		want, err := nn.Lookup(info.Name)
-		if err != nil {
+		want, ok := nn.ByName(info.Name)
+		if !ok {
 			t.Errorf("listed unknown network %s", info.Name)
 			continue
 		}
@@ -50,9 +50,9 @@ func TestNetworksEndpoint(t *testing.T) {
 
 func mustNet(t *testing.T, name string) nn.Network {
 	t.Helper()
-	n, err := nn.Lookup(name)
-	if err != nil {
-		t.Fatal(err)
+	n, ok := nn.ByName(name)
+	if !ok {
+		t.Fatalf("unknown network %s", name)
 	}
 	return n
 }

@@ -405,13 +405,7 @@ func resolveRequestFaults(req EvaluateRequest, cfg arch.SystemConfig) (*faults.F
 	if err != nil {
 		return nil, err
 	}
-	if err := fs.Validate(cfg); err != nil {
-		return nil, err
-	}
-	if fs.IsZero() {
-		return nil, nil
-	}
-	return &fs, nil
+	return fs.ForConfig(cfg)
 }
 
 // evaluatePoint resolves and evaluates one request, serving every
@@ -488,19 +482,7 @@ func (s *Server) evaluatePoint(ctx context.Context, req EvaluateRequest) (Evalua
 		for j, i := range missingIdx {
 			missing[j] = r.network(i)
 		}
-		var reports []arch.Report
-		if r.faults != nil {
-			degraded, derr := faults.EvaluateAllCtx(ctx, r.cfg, *r.faults, missing)
-			err = derr
-			if derr == nil {
-				reports = make([]arch.Report, len(degraded))
-				for j, dr := range degraded {
-					reports[j] = dr.Report
-				}
-			}
-		} else {
-			reports, err = arch.EvaluateAllCtx(ctx, r.cfg, missing)
-		}
+		reports, _, err := faults.EvaluateAllCtx(ctx, r.cfg, r.faults, missing)
 		s.metrics.evaluate.Observe(time.Since(evalStart).Seconds())
 		evalSpan.End()
 		s.releaseSlot()

@@ -29,7 +29,7 @@ type Options struct {
 	// ConfigFile is a JSON design point (see LoadConfigFile for the
 	// schema, including the optional "Base" preset overlay).
 	ConfigFile string
-	// Network is a registered network name (nn.ByName, case-insensitive)
+	// Network is a registered network name (nn.Resolve, case-insensitive)
 	// or "all" for the paper's five CNN benchmarks. Ignored when
 	// NetworkFile or NetworkSpec is set.
 	Network string
@@ -48,27 +48,33 @@ type Options struct {
 	Profile int
 	// JSON renders machine-readable reports instead of text.
 	JSON bool
-	// Faults, when non-nil, evaluates the degraded machine the fault
-	// set leaves behind (see internal/faults) instead of the healthy
-	// design point. FaultsFile loads it from JSON; a set given both
-	// ways is an error.
+	// Faults, when non-nil and not zero, evaluates the degraded machine
+	// the fault set leaves behind (see internal/faults) instead of the
+	// healthy design point. FaultsFile loads it from JSON; a set given
+	// both ways is an error.
 	Faults     *faults.FaultSet
 	FaultsFile string
 }
 
-// resolveFaults returns the fault set the options name, if any.
-func (o Options) resolveFaults() (*faults.FaultSet, error) {
+// resolveFaults returns the fault set the options name, validated
+// against cfg: nil for none or for a zero set, which is the healthy
+// machine, as it is on /v1/evaluate.
+func (o Options) resolveFaults(cfg arch.SystemConfig) (*faults.FaultSet, error) {
 	if o.Faults != nil && o.FaultsFile != "" {
 		return nil, fmt.Errorf("sim: both Faults and FaultsFile set; pick one")
 	}
+	fs := o.Faults
 	if o.FaultsFile != "" {
-		fs, err := faults.Load(o.FaultsFile)
+		loaded, err := faults.Load(o.FaultsFile)
 		if err != nil {
 			return nil, err
 		}
-		return &fs, nil
+		fs = &loaded
 	}
-	return o.Faults, nil
+	if fs == nil {
+		return nil, nil
+	}
+	return fs.ForConfig(cfg)
 }
 
 // ResolveConfig returns the design point the options name: the config
@@ -144,37 +150,77 @@ func LoadConfig(data []byte) (arch.SystemConfig, error) {
 
 // ResolveNetworks returns the workload set a -network argument names:
 // one registered network (case-insensitive), or the paper's five CNN
-// benchmarks for "all". A miss lists every valid name.
+// benchmarks for "all", as deep clones of the registry entries
+// (ResolveRegistered). A miss lists every valid name.
 func ResolveNetworks(name string) ([]nn.Network, error) {
-	nets, _, err := ResolveWorkload(name)
-	return nets, err
-}
-
-// ResolveWorkload is ResolveNetworks with each network's canonical hash
-// (nn.NetworkHash), index-aligned. The hashes come from the registry,
-// which computes them once when it loads.
-func ResolveWorkload(name string) ([]nn.Network, []string, error) {
-	nets, hashes, ok := nn.Workload(name)
-	if !ok {
-		return nil, nil, unknownNetwork(name)
+	regs, err := ResolveRegistered(name)
+	if err != nil {
+		return nil, err
 	}
-	return nets, hashes, nil
+	return clones(regs), nil
 }
 
-// ResolveRegistered is ResolveWorkload without copying a network: the
-// registry entries the name selects, whose names and hashes read in
-// place. The serving layer clones only the networks a cache misses.
+// ResolveRegistered resolves a workload name (nn.Resolve) to the registry
+// entries it selects, whose names and hashes read in place; a miss is an
+// error listing every valid name. The serving layer clones only the
+// networks a cache misses.
 func ResolveRegistered(name string) ([]nn.Registered, error) {
 	regs, ok := nn.Resolve(name)
 	if !ok {
-		return nil, unknownNetwork(name)
+		return nil, fmt.Errorf("sim: unknown network %q (known: %s, or \"all\")", name, strings.Join(nn.Names(), ", "))
 	}
 	return regs, nil
 }
 
-// unknownNetwork is the error for a workload name the registry lacks.
-func unknownNetwork(name string) error {
-	return fmt.Errorf("sim: unknown network %q (known: %s, or \"all\")", name, strings.Join(nn.Names(), ", "))
+// clones deep-copies registry entries for evaluation.
+func clones(regs []nn.Registered) []nn.Network {
+	nets := make([]nn.Network, len(regs))
+	for i, r := range regs {
+		nets[i] = r.Network()
+	}
+	return nets
+}
+
+// Target is what a job spec evaluates, resolved: a validated design point
+// and the registry entries of its workload.
+type Target struct {
+	Config   arch.SystemConfig
+	Networks []nn.Registered
+}
+
+// ResolveTarget resolves a job spec's design point (ResolveDesignPoint,
+// then validated) and its workload name (ResolveRegistered), in that
+// order, without copying a network. Robustness campaigns and design
+// searches both resolve here, and take their job IDs from Identity.
+func ResolveTarget(preset string, config []byte, network string) (Target, error) {
+	cfg, err := ResolveDesignPoint(preset, config)
+	if err != nil {
+		return Target{}, err
+	}
+	if err := cfg.Validate(); err != nil {
+		return Target{}, err
+	}
+	regs, err := ResolveRegistered(network)
+	if err != nil {
+		return Target{}, err
+	}
+	return Target{Config: cfg, Networks: regs}, nil
+}
+
+// Clones returns deep clones of the target's networks, for evaluation.
+func (t Target) Clones() []nn.Network { return clones(t.Networks) }
+
+// Identity returns what a job ID names the target by: the design point's
+// canonical hash (arch.ConfigHash) and each network's registry hash.
+func (t Target) Identity() (configHash string, networkHashes []string, err error) {
+	if configHash, err = arch.ConfigHash(t.Config); err != nil {
+		return "", nil, err
+	}
+	networkHashes = make([]string, len(t.Networks))
+	for i, r := range t.Networks {
+		networkHashes[i] = r.Hash()
+	}
+	return configHash, networkHashes, nil
 }
 
 // LoadNetworkFile reads and strictly parses a JSON network spec.
@@ -220,7 +266,8 @@ type Result struct {
 	Reports  []arch.Report
 	// Degradation is the fault remapping record when the run evaluated
 	// a degraded machine (Options.Faults/FaultsFile); nil for healthy
-	// runs. Reports then carry the degraded numbers.
+	// runs, a zero fault set included. Reports then carry the degraded
+	// numbers.
 	Degradation *faults.Degradation
 }
 
@@ -258,33 +305,18 @@ func EvaluateCtx(ctx context.Context, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	fs, err := opts.resolveFaults()
+	fs, err := opts.resolveFaults(cfg)
 	if err != nil {
 		return Result{}, err
 	}
 	evalSpan := obs.StartSpan(ctx, "sim.evaluate")
 	evalSpan.SetAttr("networks", len(nets))
 	defer evalSpan.End()
-	if fs != nil {
-		degraded, err := faults.EvaluateAllCtx(ctx, cfg, *fs, nets)
-		if err != nil {
-			return Result{}, err
-		}
-		res := Result{Config: cfg, Networks: nets, Reports: make([]arch.Report, len(degraded))}
-		for i, r := range degraded {
-			res.Reports[i] = r.Report
-		}
-		if len(degraded) > 0 {
-			deg := degraded[0].Degradation
-			res.Degradation = &deg
-		}
-		return res, nil
-	}
-	reports, err := arch.EvaluateAllCtx(ctx, cfg, nets)
+	reports, deg, err := faults.EvaluateAllCtx(ctx, cfg, fs, nets)
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{Config: cfg, Networks: nets, Reports: reports}, nil
+	return Result{Config: cfg, Networks: nets, Reports: reports, Degradation: deg}, nil
 }
 
 // Run executes the full pipeline: resolve → override → validate →

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"refocus/internal/arch"
+	"refocus/internal/faults"
+	"refocus/internal/nn"
 )
 
 // TestLoadConfigOverlay: a file with a Base preset only overrides the
@@ -128,9 +130,85 @@ func TestResolveNetworks(t *testing.T) {
 	if err != nil || len(all) < 2 {
 		t.Fatalf("all resolve: %v, %d networks", err, len(all))
 	}
+	for _, name := range []string{"resnet-18", "RESNET-18", "bert-BASE", "vit-b/16"} {
+		if _, err := ResolveNetworks(name); err != nil {
+			t.Errorf("ResolveNetworks(%q): %v", name, err)
+		}
+	}
 	_, err = ResolveNetworks("LeNet-9000")
-	if err == nil || !strings.Contains(err.Error(), "ResNet-18") {
-		t.Errorf("unknown network error should list the vocabulary: %v", err)
+	if err == nil {
+		t.Fatal("ResolveNetworks accepted LeNet-9000")
+	}
+	for _, want := range nn.Names() {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("unknown network error %q does not list %q", err, want)
+		}
+	}
+}
+
+// TestResolveTarget: a job spec's design point resolves and validates
+// before its workload, and the identity is the config's canonical hash
+// plus the registry hashes, read without cloning a network.
+func TestResolveTarget(t *testing.T) {
+	if _, err := ResolveTarget("nope", nil, "LeNet"); err == nil || !strings.Contains(err.Error(), "nope") {
+		t.Errorf("bad preset and network: %v, want the preset error first", err)
+	}
+	if _, err := ResolveTarget("", []byte(`{"Base": "fb", "NRFCU": 0}`), "all"); err == nil {
+		t.Error("an invalid design point resolved")
+	}
+	if _, err := ResolveTarget("fb", nil, "LeNet"); err == nil || !strings.Contains(err.Error(), "unknown network") {
+		t.Errorf("unknown network: %v", err)
+	}
+	tg, err := ResolveTarget("fb", nil, "all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgHash, netHashes, err := tg.Identity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := arch.ConfigHash(arch.FB()); err != nil || cfgHash != want {
+		t.Errorf("config hash %s, want %s (err %v)", cfgHash, want, err)
+	}
+	if want := nn.Hashes()[:5]; strings.Join(netHashes, ",") != strings.Join(want, ",") {
+		t.Errorf("network hashes %v, want %v", netHashes, want)
+	}
+	if nets := tg.Clones(); len(nets) != 5 || nets[0].Name != "AlexNet" {
+		t.Errorf("clones: %d networks", len(nets))
+	}
+}
+
+// TestRunFaultSets: a degraded run announces its remapping; a zero fault
+// set is the healthy machine, as on /v1/evaluate, and prints exactly the
+// healthy output; a zero set is still validated.
+func TestRunFaultSets(t *testing.T) {
+	run := func(opts Options) (string, error) {
+		opts.Preset, opts.Network = "fb", "ResNet-18"
+		var buf bytes.Buffer
+		err := Run(opts, &buf)
+		return buf.String(), err
+	}
+	healthy, err := run(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	none := filepath.Join(dir, "none.json")
+	if err := os.WriteFile(none, []byte(`{"Name":"none"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := run(Options{FaultsFile: none}); err != nil || got != healthy {
+		t.Errorf("zero fault set: err %v, output\n%s\nwant the healthy output\n%s", err, got, healthy)
+	}
+	degraded, err := run(Options{Faults: &faults.FaultSet{Name: "2dead", DeadRFCUs: []int{3, 11}}})
+	if err != nil || !strings.Contains(degraded, "DEGRADED by 2dead: 14/16 healthy RFCUs") {
+		t.Errorf("degraded run: err %v, output\n%s", err, degraded)
+	}
+	if _, err := run(Options{Faults: &faults.FaultSet{MaxDynamicRange: 0.5}}); err == nil {
+		t.Error("an invalid zero fault set was accepted")
+	}
+	if _, err := run(Options{Faults: &faults.FaultSet{}, FaultsFile: none}); err == nil {
+		t.Error("a fault set given both ways was accepted")
 	}
 }
 
