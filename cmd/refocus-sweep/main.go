@@ -3,25 +3,27 @@
 // printing the metric surface the §5.4 design choices were made on.
 //
 // Design points are independent, so the sweep evaluates every
-// (configuration, network) pair across worker goroutines — -parallel N
-// (or REFOCUS_PARALLEL) picks the worker count, defaulting to GOMAXPROCS —
-// and prints rows in their original order.
+// (configuration, network) pair across GOMAXPROCS worker goroutines (set
+// the GOMAXPROCS environment variable to change the count) and prints
+// rows in their original order.
 //
 // Usage:
 //
 //	refocus-sweep -sweep m|reuse|lambda|rfcu|alpha [-buffer fb|ff]
 //	              [-config-file point.json] [-network BERT-base]
-//	              [-network-file spec.json] [-parallel N] [-list]
+//	              [-network-file spec.json] [-list]
 //	              [-trace out.json] [-pprof-addr host:port]
 //	refocus-sweep -faults [-trials 100] [-seed 1] [-fault-rfcu-p 0.05]
 //	              [-fault-lambda-p 0.02] [-fault-loss-db 0.5]
 //
 // The swept base design is a registry preset (-buffer accepts any preset
 // name or alias) or a JSON design point (-config-file); -list prints the
-// known presets and networks. The swept workload set defaults to the
-// paper's Table 4 CNNs; -network selects any registry workload by name
-// ("all" for the five CNN benchmarks) and -network-file sweeps a
-// serialized network spec instead, so transformer workloads like
+// known presets and networks. Every sweep varies that base: the reuse and
+// alpha sweeps price its feedback buffer (its components, M and, for
+// alpha, R) and reject a base without one. The swept workload set
+// defaults to the paper's Table 4 CNNs; -network selects any registry
+// workload by name ("all" for the five CNN benchmarks) and -network-file
+// sweeps a serialized network spec instead, so transformer workloads like
 // BERT-base and ViT-B/16 sweep through the same machinery. -trace records the sweep's span timeline
 // (one lane per evaluation worker) as Chrome trace_event JSON, and
 // -pprof-addr exposes net/http/pprof for profiling long sweeps.
@@ -32,7 +34,7 @@
 // output is the nominal point, the throughput and energy distributions
 // across trials, the hard-failure yield, and — for feedback-buffer
 // designs — the R-vs-excess-loss resilience curve. The same -seed always
-// reproduces the same trial set, at any -parallel worker count.
+// reproduces the same trial set, at any GOMAXPROCS.
 package main
 
 import (
@@ -121,7 +123,6 @@ func run(args []string, out io.Writer) error {
 	configFile := fs.String("config-file", "", "JSON design-point file as the sweep base (overrides -buffer)")
 	network := fs.String("network", "", "registry workload to sweep instead of the Table 4 CNNs ('all' = the five benchmarks)")
 	networkFile := fs.String("network-file", "", "JSON network spec to sweep (overrides -network)")
-	parallel := fs.Int("parallel", 0, "evaluation workers (0 = REFOCUS_PARALLEL or GOMAXPROCS)")
 	list := fs.Bool("list", false, "print known presets and benchmark networks, then exit")
 	faultsMode := fs.Bool("faults", false, "run the Monte Carlo yield sweep instead of a design-space sweep")
 	trials := fs.Int("trials", 100, "Monte Carlo trials for -faults")
@@ -138,7 +139,6 @@ func run(args []string, out io.Writer) error {
 		sim.ListKnown(out)
 		return nil
 	}
-	arch.SetParallelism(*parallel)
 	if *pprofAddr != "" {
 		got, err := obs.StartPprof(*pprofAddr)
 		if err != nil {
@@ -215,6 +215,12 @@ func runSelected(ctx context.Context, opts sweepOptions, base arch.SystemConfig,
 	if opts.faultsMode {
 		return runYieldSweep(ctx, base, nets, opts.model, opts.trials, opts.seed, out)
 	}
+	if opts.sweep == "reuse" || opts.sweep == "alpha" {
+		if base.Buffer != arch.Feedback {
+			return fmt.Errorf("the %s sweep prices a feedback buffer, and base %s has a %s buffer",
+				opts.sweep, base.Name, base.Buffer)
+		}
+	}
 	var err error
 	switch opts.sweep {
 	case "m":
@@ -241,7 +247,7 @@ func runSelected(ctx context.Context, opts sweepOptions, base arch.SystemConfig,
 		reuses := []int{1, 3, 7, 15, 31, 63}
 		cfgs := make([]arch.SystemConfig, len(reuses))
 		for i, r := range reuses {
-			cfg := arch.FB()
+			cfg := base
 			cfg.Reuses = r
 			cfgs[i] = cfg
 		}
@@ -250,9 +256,8 @@ func runSelected(ctx context.Context, opts sweepOptions, base arch.SystemConfig,
 			return err
 		}
 		fmt.Fprintln(out, "R    α=1/(R+1)  rel laser power  dynamic range  FPS/W")
-		c := phys.DefaultComponents()
 		for i, r := range reuses {
-			fb, err := buffers.NewFeedbackBuffer(buffers.OptimalFeedbackAlpha(r), 16, c)
+			fb, err := buffers.NewFeedbackBuffer(buffers.OptimalFeedbackAlpha(r), base.M, base.Components)
 			if err != nil {
 				return err
 			}
@@ -300,14 +305,13 @@ func runSelected(ctx context.Context, opts sweepOptions, base arch.SystemConfig,
 			fmt.Fprintf(out, "%-4d %-14.1f %-7.0f %-8.1f %.3g\n", n, phys.M2ToMM2(area.Photonic()), rows[i].fpsw, rows[i].fpsmm2, rows[i].pap)
 		}
 	case "alpha":
-		fmt.Fprintln(out, "α      rel laser power (R=15)  dynamic range")
-		c := phys.DefaultComponents()
+		fmt.Fprintf(out, "α      %-23s dynamic range\n", fmt.Sprintf("rel laser power (R=%d)", base.Reuses))
 		for _, a := range []float64{0.03125, 0.0625, 0.125, 0.25, 0.5} {
-			fb, err := buffers.NewFeedbackBuffer(a, 16, c)
+			fb, err := buffers.NewFeedbackBuffer(a, base.M, base.Components)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(out, "%-6.4f %-23.4g %.4g\n", a, fb.RelativeLaserPower(15), fb.DynamicRange(15))
+			fmt.Fprintf(out, "%-6.4f %-23.4g %.4g\n", a, fb.RelativeLaserPower(base.Reuses), fb.DynamicRange(base.Reuses))
 		}
 	default:
 		return fmt.Errorf("unknown sweep %q", opts.sweep)

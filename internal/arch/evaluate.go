@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -218,49 +216,17 @@ func MustEvaluate(cfg SystemConfig, net nn.Network) Report {
 	return r
 }
 
-// parallelismOverride holds the SetParallelism value; 0 means "use the
-// default" (REFOCUS_PARALLEL or GOMAXPROCS).
-var parallelismOverride atomic.Int64
-
-// Parallelism returns the worker count EvaluateAll (and the sweep tools
-// built on it) fan out across: the last positive SetParallelism value if
-// any, else the REFOCUS_PARALLEL environment variable when set to a
-// positive integer, else runtime.GOMAXPROCS(0).
-func Parallelism() int {
-	if v := parallelismOverride.Load(); v > 0 {
-		return int(v)
-	}
-	if s := os.Getenv("REFOCUS_PARALLEL"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return v
-		}
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetParallelism overrides the evaluation worker count for the whole
-// process (the -parallel flag of cmd/refocus-sweep lands here). n <= 0
-// restores the default. Safe to call concurrently.
-func SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	parallelismOverride.Store(int64(n))
-}
-
-// ParallelFor runs body(0..n-1) across min(Parallelism(), n) goroutines,
-// stopping early (remaining iterations skipped) once ctx is canceled.
-// Iterations must be independent; the call returns after every started
-// iteration completes, with ctx.Err() if the loop was cut short. Each
-// worker's body receives a context on its own trace lane, so spans from
-// concurrent iterations render on separate rows instead of interleaving.
-// It is the one bounded fan-out loop: the point loops here and
-// faults.YieldSweep's trial loop all run on it.
+// ParallelFor runs body(0..n-1) across min(runtime.GOMAXPROCS(0), n)
+// goroutines, stopping early (remaining iterations skipped) once ctx is
+// canceled. Iterations must be independent; the call returns after every
+// started iteration completes, with ctx.Err() if the loop was cut short.
+// Each worker's body receives a context on its own trace lane, so spans
+// from concurrent iterations render on separate rows instead of
+// interleaving. It is the one bounded fan-out loop: the point loop here
+// and faults.YieldSweep's trial loop both run on it, and GOMAXPROCS (the
+// environment variable or runtime.GOMAXPROCS) is its one knob.
 func ParallelFor(ctx context.Context, n int, body func(ctx context.Context, i int)) error {
-	workers := Parallelism()
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
@@ -291,10 +257,10 @@ func ParallelFor(ctx context.Context, n int, body func(ctx context.Context, i in
 }
 
 // EvaluateAll evaluates every network on the configuration. Networks are
-// independent design points, so they fan out across Parallelism() workers;
-// the result order (and every value in it — Evaluate is deterministic)
-// matches the serial loop exactly. The first error (in input order, also
-// deterministic) aborts the result.
+// independent design points, so they fan out across ParallelFor's
+// workers; the result order (and every value in it — Evaluate is
+// deterministic) matches the serial loop exactly. The first error (in
+// input order, also deterministic) aborts the result.
 func EvaluateAll(cfg SystemConfig, nets []nn.Network) ([]Report, error) {
 	return EvaluateAllCtx(context.Background(), cfg, nets)
 }
@@ -305,23 +271,7 @@ func EvaluateAll(cfg SystemConfig, nets []nn.Network) ([]Report, error) {
 // timed-out request stops burning workers instead of running to
 // completion.
 func EvaluateAllCtx(ctx context.Context, cfg SystemConfig, nets []nn.Network) ([]Report, error) {
-	out := make([]Report, len(nets))
-	errs := make([]error, len(nets))
-	if err := ParallelFor(ctx, len(nets), func(wctx context.Context, i int) {
-		sp := obs.StartSpan(wctx, "arch.evaluate")
-		sp.SetAttr("config", cfg.Name)
-		sp.SetAttr("network", nets[i].Name)
-		out[i], errs[i] = Evaluate(cfg, nets[i])
-		sp.End()
-	}); err != nil {
-		return nil, fmt.Errorf("arch: evaluation canceled: %w", err)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return evaluatePoints(ctx, []SystemConfig{cfg}, nets)
 }
 
 // MustEvaluateAll is EvaluateAll for known-valid configurations; see
@@ -334,39 +284,37 @@ func MustEvaluateAll(cfg SystemConfig, nets []nn.Network) []Report {
 	return rs
 }
 
-// MustEvaluateGrid is EvaluateGrid for inputs already validated by the
-// caller; a failure is an internal invariant violation.
-func MustEvaluateGrid(cfgs []SystemConfig, nets []nn.Network) [][]Report {
-	grid, err := EvaluateGrid(cfgs, nets)
-	if err != nil {
-		panic("arch: internal: " + err.Error())
-	}
-	return grid
-}
-
-// EvaluateGrid evaluates many configurations — a sweep's design points —
-// against the same networks, fanning the (config, network) product out
-// across Parallelism() workers. out[i] corresponds to cfgs[i] in order;
-// the first error in input order aborts the result.
-func EvaluateGrid(cfgs []SystemConfig, nets []nn.Network) ([][]Report, error) {
-	return EvaluateGridCtx(context.Background(), cfgs, nets)
-}
-
-// EvaluateGridCtx is EvaluateGrid honoring cancellation between
-// (config, network) points, with the same early-stop contract as
-// EvaluateAllCtx.
+// EvaluateGridCtx evaluates many configurations — a sweep's design
+// points — against the same networks, fanning the (config, network)
+// product out like EvaluateAllCtx, with the same early-stop contract.
+// out[i] corresponds to cfgs[i] in order; the first error in input order
+// aborts the result.
 func EvaluateGridCtx(ctx context.Context, cfgs []SystemConfig, nets []nn.Network) ([][]Report, error) {
-	out := make([][]Report, len(cfgs))
-	for i := range out {
-		out[i] = make([]Report, len(nets))
+	flat, err := evaluatePoints(ctx, cfgs, nets)
+	if err != nil {
+		return nil, err
 	}
 	k := len(nets)
-	errs := make([]error, len(cfgs)*k)
-	if err := ParallelFor(ctx, len(cfgs)*k, func(wctx context.Context, i int) {
+	out := make([][]Report, len(cfgs))
+	for i := range out {
+		out[i] = flat[i*k : (i+1)*k : (i+1)*k]
+	}
+	return out, nil
+}
+
+// evaluatePoints is the one fan-out body: it evaluates every (config,
+// network) pair, point i being cfgs[i/len(nets)] on nets[i%len(nets)],
+// each under its own arch.evaluate span.
+func evaluatePoints(ctx context.Context, cfgs []SystemConfig, nets []nn.Network) ([]Report, error) {
+	k := len(nets)
+	out := make([]Report, len(cfgs)*k)
+	errs := make([]error, len(out))
+	if err := ParallelFor(ctx, len(out), func(wctx context.Context, i int) {
+		cfg, net := &cfgs[i/k], nets[i%k]
 		sp := obs.StartSpan(wctx, "arch.evaluate")
-		sp.SetAttr("config", cfgs[i/k].Name)
-		sp.SetAttr("network", nets[i%k].Name)
-		out[i/k][i%k], errs[i] = Evaluate(cfgs[i/k], nets[i%k])
+		sp.SetAttr("config", cfg.Name)
+		sp.SetAttr("network", net.Name)
+		out[i], errs[i] = Evaluate(*cfg, net)
 		sp.End()
 	}); err != nil {
 		return nil, fmt.Errorf("arch: evaluation canceled: %w", err)

@@ -47,8 +47,8 @@ func TestTopConsumersOrdering(t *testing.T) {
 	}
 	// conv1_2 (64ch at 224²) is VGG's classic cycle hog on row-tiled
 	// hardware (a single padded row barely fits T=256).
-	if top[0].Layer.Conv.InH != 224 && top[0].Layer.Conv.InH != 112 {
-		t.Errorf("expected an early big-plane layer on top, got %s (%d)", top[0].Layer.Name(), top[0].Layer.Conv.InH)
+	if c, _ := top[0].Layer.Shape().(nn.ConvLayer); c.InH != 224 && c.InH != 112 {
+		t.Errorf("expected an early big-plane layer on top, got %s (%d)", top[0].Layer.Name(), c.InH)
 	}
 	byEnergy := TopConsumers(profiles, "energy", len(profiles))
 	if len(byEnergy) != len(profiles) {
@@ -76,10 +76,11 @@ func TestPointwiseLayersAreThroughputBound(t *testing.T) {
 	var ptN, convN int
 	for _, p := range profiles {
 		ratio := p.Events.Cycles / p.Layer.MACs()
-		if p.Layer.Conv.KH == 1 {
+		c, _ := p.Layer.Shape().(nn.ConvLayer)
+		if c.KH == 1 {
 			ptCyc += ratio
 			ptN++
-		} else if p.Layer.Conv.KH == 3 {
+		} else if c.KH == 3 {
 			convCyc += ratio
 			convN++
 		}

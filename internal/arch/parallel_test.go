@@ -1,22 +1,23 @@
 package arch
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
 	"refocus/internal/nn"
 )
 
 // TestEvaluateAllParallelMatchesSerial pins the determinism contract of
-// the evaluation fan-out: EvaluateAll and EvaluateGrid must produce
+// the evaluation fan-out: EvaluateAll and EvaluateGridCtx must produce
 // exactly the reports a serial Evaluate loop does, in the same order,
-// for any worker count.
+// for any worker count (GOMAXPROCS).
 func TestEvaluateAllParallelMatchesSerial(t *testing.T) {
-	defer SetParallelism(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	nets := nn.Table4Networks()
 	cfgs := []SystemConfig{Baseline(), FF(), FB()}
 
 	want := make([][]Report, len(cfgs))
-	SetParallelism(1)
 	for i, cfg := range cfgs {
 		want[i] = make([]Report, len(nets))
 		for j, n := range nets {
@@ -24,8 +25,8 @@ func TestEvaluateAllParallelMatchesSerial(t *testing.T) {
 		}
 	}
 
-	for _, workers := range []int{2, 4, 8} {
-		SetParallelism(workers)
+	for _, workers := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(workers)
 		for i, cfg := range cfgs {
 			got := MustEvaluateAll(cfg, nets)
 			for j := range got {
@@ -35,34 +36,16 @@ func TestEvaluateAllParallelMatchesSerial(t *testing.T) {
 				}
 			}
 		}
-		grid := MustEvaluateGrid(cfgs, nets)
+		grid, err := EvaluateGridCtx(context.Background(), cfgs, nets)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range grid {
 			for j := range grid[i] {
 				if grid[i][j] != want[i][j] {
-					t.Fatalf("workers=%d: EvaluateGrid[%d][%d] differs from serial", workers, i, j)
+					t.Fatalf("workers=%d: EvaluateGridCtx[%d][%d] differs from serial", workers, i, j)
 				}
 			}
 		}
-	}
-}
-
-// TestParallelismKnob checks the override and default resolution order.
-func TestParallelismKnob(t *testing.T) {
-	defer SetParallelism(0)
-	SetParallelism(3)
-	if got := Parallelism(); got != 3 {
-		t.Errorf("Parallelism() = %d after SetParallelism(3)", got)
-	}
-	SetParallelism(0)
-	if got := Parallelism(); got < 1 {
-		t.Errorf("default Parallelism() = %d, want >= 1", got)
-	}
-	t.Setenv("REFOCUS_PARALLEL", "5")
-	if got := Parallelism(); got != 5 {
-		t.Errorf("Parallelism() = %d with REFOCUS_PARALLEL=5", got)
-	}
-	t.Setenv("REFOCUS_PARALLEL", "bogus")
-	if got := Parallelism(); got < 1 {
-		t.Errorf("Parallelism() = %d with malformed env", got)
 	}
 }

@@ -26,34 +26,25 @@ import (
 // waveguide bank — the lens's native transform, free of weight traffic.
 
 // EventsOf produces event counts for one instance of any layer kind,
-// dispatching to the conv model or the lowerings above. It is the
-// layer-kind-generic twin of LayerEvents.
+// dispatching on the layer's shape to the conv model or the lowerings
+// above. It is the layer-kind-generic twin of LayerEvents.
 func EventsOf(l nn.Layer, cfg Config) (Events, error) {
 	if err := l.Validate(); err != nil {
 		return Events{}, err
 	}
-	switch {
-	case l.Conv != nil:
-		return LayerEvents(*l.Conv, cfg)
-	case l.FC != nil:
-		return fcEvents(*l.FC, cfg, false)
-	case l.Mixing != nil:
-		return MixingEvents(*l.Mixing, cfg)
-	case l.Attention != nil:
-		return attentionEvents(*l.Attention, cfg)
-	default:
-		return ffnEvents(*l.FFN, cfg)
+	switch s := l.Shape().(type) {
+	case nn.ConvLayer:
+		return LayerEvents(s, cfg)
+	case nn.FCLayer:
+		return fcEvents(s, cfg, false)
+	case nn.MixingLayer:
+		return MixingEvents(s, cfg)
+	case nn.AttentionLayer:
+		return attentionEvents(s, cfg)
+	case nn.FFNLayer:
+		return ffnEvents(s, cfg)
 	}
-}
-
-// MustEventsOf is EventsOf for layer/config pairs already validated by the
-// caller; a failure is an internal invariant violation.
-func MustEventsOf(l nn.Layer, cfg Config) Events {
-	e, err := EventsOf(l, cfg)
-	if err != nil {
-		panic("dataflow: internal: " + err.Error())
-	}
-	return e
+	return Events{}, fmt.Errorf("dataflow: no lowering for layer kind %q", l.Kind())
 }
 
 // fcEvents runs one matmul instance through the conv model via its

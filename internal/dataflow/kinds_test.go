@@ -8,12 +8,22 @@ import (
 	"refocus/internal/nn"
 )
 
+// mustEventsOf is EventsOf for layer/config pairs the test knows valid.
+func mustEventsOf(t *testing.T, l nn.Layer, cfg Config) Events {
+	t.Helper()
+	e, err := EventsOf(l, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // TestFCMatchesConvEquivalent: a static FC lowers to exactly its
 // degenerate 1×1 conv — same events, field for field.
 func TestFCMatchesConvEquivalent(t *testing.T) {
 	cfg := refocusConfig()
 	fc := nn.FCLayer{Name: "fc", In: 768, Out: 3072, Tokens: 128, Repeat: 1}
-	got := MustEventsOf(nn.NewFC(fc), cfg)
+	got := mustEventsOf(t, nn.NewFC(fc), cfg)
 	want := MustLayerEvents(fc.AsConv(), cfg)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("fc events %+v != conv-equivalent %+v", got, want)
@@ -27,12 +37,12 @@ func TestFFNIsTwoFCs(t *testing.T) {
 		cfg := refocusConfig()
 		cfg.InputsFromDRAM = fromDRAM
 		ffn := nn.FFNLayer{Name: "ffn", SeqLen: 128, Hidden: 768, FFHidden: 3072, Repeat: 1}
-		got := MustEventsOf(nn.NewFFN(ffn), cfg)
+		got := mustEventsOf(t, nn.NewFFN(ffn), cfg)
 
 		sub := cfg
 		sub.InputsFromDRAM = false
-		want := MustEventsOf(nn.NewFC(nn.FCLayer{Name: "a", In: 768, Out: 3072, Tokens: 128, Repeat: 1}), sub)
-		want.Add(MustEventsOf(nn.NewFC(nn.FCLayer{Name: "b", In: 3072, Out: 768, Tokens: 128, Repeat: 1}), sub))
+		want := mustEventsOf(t, nn.NewFC(nn.FCLayer{Name: "a", In: 768, Out: 3072, Tokens: 128, Repeat: 1}), sub)
+		want.Add(mustEventsOf(t, nn.NewFC(nn.FCLayer{Name: "b", In: 3072, Out: 768, Tokens: 128, Repeat: 1}), sub))
 		if fromDRAM {
 			want.DRAMReads += float64(ffn.InputBytes())
 		}
@@ -49,7 +59,7 @@ func TestAttentionDecomposition(t *testing.T) {
 	cfg := refocusConfig()
 	cfg.InputsFromDRAM = true
 	att := nn.AttentionLayer{Name: "attn", SeqLen: 128, Hidden: 768, Heads: 12, Repeat: 1}
-	got := MustEventsOf(nn.NewAttention(att), cfg)
+	got := mustEventsOf(t, nn.NewAttention(att), cfg)
 
 	sub := cfg
 	sub.InputsFromDRAM = false
@@ -163,7 +173,7 @@ func TestMixingEventsInputDRAM(t *testing.T) {
 func TestEventsOfRejectsInvalid(t *testing.T) {
 	cfg := refocusConfig()
 	if _, err := EventsOf(nn.Layer{}, cfg); err == nil {
-		t.Error("empty layer union accepted")
+		t.Error("zero layer accepted")
 	}
 	bad := nn.NewAttention(nn.AttentionLayer{Name: "a", SeqLen: 128, Hidden: 768, Heads: 7, Repeat: 1})
 	if _, err := EventsOf(bad, cfg); err == nil || !strings.Contains(err.Error(), "heads") {

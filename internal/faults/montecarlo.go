@@ -136,8 +136,8 @@ var MetricEnergy arch.Metric = func(r arch.Report) float64 { return r.Energy }
 
 // YieldSweep samples trials fault sets from the model and evaluates the
 // degraded design point on every network, fanning trials out across
-// arch.Parallelism() workers. Fault sets are drawn serially from a
-// single seeded stream before any evaluation, so the result is
+// arch.ParallelFor's GOMAXPROCS workers. Fault sets are drawn serially
+// from a single seeded stream before any evaluation, so the result is
 // deterministic for (cfg, nets, model, trials, seed) regardless of the
 // worker count. Cancellation stops the sweep with ctx's error.
 func YieldSweep(ctx context.Context, cfg arch.SystemConfig, nets []nn.Network, model MonteCarloModel, trials int, seed int64) (YieldResult, error) {

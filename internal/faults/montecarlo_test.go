@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"refocus/internal/arch"
@@ -21,21 +22,20 @@ func yieldNets(t *testing.T) []nn.Network {
 }
 
 // TestYieldSweepDeterministic: the same seed yields a bit-identical
-// result regardless of worker count — fault sets are drawn before any
-// parallel evaluation.
+// result regardless of worker count (GOMAXPROCS 1 or 4) — fault sets are
+// drawn before any parallel evaluation.
 func TestYieldSweepDeterministic(t *testing.T) {
 	cfg := arch.FB()
 	model := MonteCarloModel{RFCUFailProb: 0.1, WavelengthFailProb: 0.05, BufferLossSigmaDB: 0.8}
 	nets := yieldNets(t)
 
-	arch.SetParallelism(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	serial, err := YieldSweep(context.Background(), cfg, nets, model, 24, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch.SetParallelism(4)
+	runtime.GOMAXPROCS(4)
 	parallel, err := YieldSweep(context.Background(), cfg, nets, model, 24, 7)
-	arch.SetParallelism(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 
 // probeLayer is the encoding/json route Layer.UnmarshalJSON falls back
 // to, and the reference its byte scan must match: a probe of the tag,
-// then the strict decode of that arm.
+// then the strict decode of that kind.
 func probeLayer(data []byte) (Layer, error) {
 	var probe struct {
 		Kind LayerKind
@@ -86,8 +86,8 @@ func FuzzLayerUnmarshal(f *testing.F) {
 
 // TestCanonicalMatchesMarshal: CanonicalNetworkJSON writes json.Marshal's
 // bytes (through Layer.MarshalJSON) for every registry network, for names
-// encoding/json escapes, for no layers and nil layers. For an invalid
-// union both fail, with encoding/json's error text.
+// encoding/json escapes, for no layers and nil layers. For the zero
+// Layer both fail, with encoding/json's error text.
 func TestCanonicalMatchesMarshal(t *testing.T) {
 	nets := Networks()
 	for _, name := range []string{"", `q"uote\ <b>&`, "tab\tnl\n", "é ü", "\u2028\u2029", "bad\xffutf8", "\x7f"} {
@@ -112,7 +112,7 @@ func TestCanonicalMatchesMarshal(t *testing.T) {
 	_, merr := json.Marshal(bad)
 	if want := "nn: canonical encoding of network bad: json: error calling MarshalJSON for type nn.Layer: " +
 		"nn: encoding layer: union has 0 arms set, want exactly 1"; fmt.Sprint(err) != want || !strings.HasSuffix(want, fmt.Sprint(merr)) {
-		t.Errorf("invalid union: %v / %v, want %s", err, merr, want)
+		t.Errorf("zero Layer: %v / %v, want %s", err, merr, want)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 )
 
@@ -17,7 +18,7 @@ import (
 
 // Per-kind wrappers: embedding inlines the layer's fields next to the Kind
 // discriminator, so specs read flat ({"Kind":"conv","Name":...}) while the
-// Go side stays a typed union.
+// Go side stays typed. Each kind's tagged method returns its wrapper.
 type convLayerJSON struct {
 	Kind LayerKind
 	ConvLayer
@@ -43,43 +44,31 @@ type ffnLayerJSON struct {
 	FFNLayer
 }
 
-// tagged returns the set arm in its wrapper, or nil for an invalid union
-// (zero or multiple arms).
-func (l Layer) tagged() any {
-	if l.arms() != 1 {
-		return nil
-	}
-	switch {
-	case l.Conv != nil:
-		return convLayerJSON{Kind: KindConv, ConvLayer: *l.Conv}
-	case l.FC != nil:
-		return fcLayerJSON{Kind: KindFC, FCLayer: *l.FC}
-	case l.Mixing != nil:
-		return mixingLayerJSON{Kind: KindMixing, MixingLayer: *l.Mixing}
-	case l.Attention != nil:
-		return attentionLayerJSON{Kind: KindAttention, AttentionLayer: *l.Attention}
-	default:
-		return ffnLayerJSON{Kind: KindFFN, FFNLayer: *l.FFN}
-	}
-}
+// The wrappers' layers, for decodeArm.
+func (w *convLayerJSON) layer() Layer      { return Layer{w.ConvLayer} }
+func (w *fcLayerJSON) layer() Layer        { return Layer{w.FCLayer} }
+func (w *mixingLayerJSON) layer() Layer    { return Layer{w.MixingLayer} }
+func (w *attentionLayerJSON) layer() Layer { return Layer{w.AttentionLayer} }
+func (w *ffnLayerJSON) layer() Layer       { return Layer{w.FFNLayer} }
 
-// MarshalJSON encodes the set arm as a flat object with its Kind tag
-// first. An invalid union (zero or multiple arms) is an encoding error.
+// MarshalJSON encodes the layer as a flat object with its Kind tag first.
+// The zero Layer is an encoding error.
 func (l Layer) MarshalJSON() ([]byte, error) {
-	w := l.tagged()
+	w := l.impl().tagged()
 	if w == nil {
-		return nil, fmt.Errorf("nn: encoding layer: union has %d arms set, want exactly 1", l.arms())
+		return nil, errors.New("nn: encoding layer: union has 0 arms set, want exactly 1")
 	}
 	return json.Marshal(w)
 }
 
 // UnmarshalJSON decodes a tagged layer object: the Kind field selects the
-// arm, and the object is decoded strictly into it, so a field from the
+// kind, and the object is decoded strictly into it, so a field from the
 // wrong kind (or a typo) is an error rather than a silently dropped
 // value. scanLayer reads a plainly written object, tag and fields, in
 // one pass. Anything else, and every error, takes encoding/json: a probe
-// of the tag, then a strict decode of the arm, whose acceptance and
-// error texts scanLayer's are checked against (FuzzLayerUnmarshal).
+// of the tag, then a strict decode of the kind's wrapper, whose
+// acceptance and error texts scanLayer's are checked against
+// (FuzzLayerUnmarshal).
 func (l *Layer) UnmarshalJSON(data []byte) error {
 	if layer, ok := scanLayer(data); ok {
 		*l = layer
@@ -94,44 +83,20 @@ func (l *Layer) UnmarshalJSON(data []byte) error {
 	return l.decodeArm(probe.Kind, data)
 }
 
-// decodeArm strictly decodes data into the arm kind names.
+// decodeArm strictly decodes data into the wrapper of the kind it names.
 func (l *Layer) decodeArm(kind LayerKind, data []byte) error {
-	strict := func(dst any) error {
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		return dec.Decode(dst)
-	}
+	var w interface{ layer() Layer }
 	switch kind {
 	case KindConv:
-		var w convLayerJSON
-		if err := strict(&w); err != nil {
-			return fmt.Errorf("nn: decoding conv layer: %w", err)
-		}
-		*l = Layer{Conv: &w.ConvLayer}
+		w = &convLayerJSON{}
 	case KindFC:
-		var w fcLayerJSON
-		if err := strict(&w); err != nil {
-			return fmt.Errorf("nn: decoding fc layer: %w", err)
-		}
-		*l = Layer{FC: &w.FCLayer}
+		w = &fcLayerJSON{}
 	case KindMixing:
-		var w mixingLayerJSON
-		if err := strict(&w); err != nil {
-			return fmt.Errorf("nn: decoding fourier-mixing layer: %w", err)
-		}
-		*l = Layer{Mixing: &w.MixingLayer}
+		w = &mixingLayerJSON{}
 	case KindAttention:
-		var w attentionLayerJSON
-		if err := strict(&w); err != nil {
-			return fmt.Errorf("nn: decoding attention layer: %w", err)
-		}
-		*l = Layer{Attention: &w.AttentionLayer}
+		w = &attentionLayerJSON{}
 	case KindFFN:
-		var w ffnLayerJSON
-		if err := strict(&w); err != nil {
-			return fmt.Errorf("nn: decoding ffn layer: %w", err)
-		}
-		*l = Layer{FFN: &w.FFNLayer}
+		w = &ffnLayerJSON{}
 	case "":
 		return fmt.Errorf("nn: decoding layer: missing Kind tag (want %q, %q, %q, %q or %q)",
 			KindConv, KindFC, KindMixing, KindAttention, KindFFN)
@@ -139,6 +104,12 @@ func (l *Layer) decodeArm(kind LayerKind, data []byte) error {
 		return fmt.Errorf("nn: decoding layer: unknown Kind %q (want %q, %q, %q, %q or %q)",
 			kind, KindConv, KindFC, KindMixing, KindAttention, KindFFN)
 	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(w); err != nil {
+		return fmt.Errorf("nn: decoding %s layer: %w", kind, err)
+	}
+	*l = w.layer()
 	return nil
 }
 
@@ -172,8 +143,8 @@ var fieldIndex = map[string]int{
 	"Heads": fieldHeads, "FFHidden": fieldFFHidden, "Repeat": fieldRepeat,
 }
 
-// armFields are the fields each arm's JSON object may carry besides Kind.
-var armFields = map[LayerKind]uint32{
+// kindFields are the fields each kind's JSON object may carry besides Kind.
+var kindFields = map[LayerKind]uint32{
 	KindConv: 1<<fieldName | 1<<fieldInC | 1<<fieldInH | 1<<fieldInW | 1<<fieldOutC |
 		1<<fieldKH | 1<<fieldKW | 1<<fieldStride | 1<<fieldPad | 1<<fieldRepeat,
 	KindFC:        1<<fieldName | 1<<fieldIn | 1<<fieldOut | 1<<fieldTokens | 1<<fieldRepeat,
@@ -183,7 +154,7 @@ var armFields = map[LayerKind]uint32{
 }
 
 // scanLayer decodes a layer object in one pass when it is written
-// plainly: every key an exact field name of the tagged arm, or "Kind"
+// plainly: every key an exact field name of the tagged kind, or "Kind"
 // under ASCII case folding (the tag, as encoding/json matches it); keys
 // and strings without escapes, control or non-ASCII bytes; integers of at
 // most nine digits; nothing after the object. Repeated keys keep their
@@ -240,7 +211,7 @@ func scanLayer(data []byte) (l Layer, ok bool) {
 		}
 		i = skipSpace(data, i+1)
 	}
-	if allowed, known := armFields[kind]; !known || seen&^allowed != 0 || skipSpace(data, i+1) != len(data) {
+	if allowed, known := kindFields[kind]; !known || seen&^allowed != 0 || skipSpace(data, i+1) != len(data) {
 		return l, false
 	}
 	switch kind {
@@ -362,9 +333,9 @@ func CanonicalNetworkJSON(n Network) ([]byte, error) {
 	}
 	var v any = &w
 	for i, l := range n.Layers {
-		if w.Layers[i] = l.tagged(); w.Layers[i] == nil {
-			// An invalid union: marshal the network itself, so the error
-			// is encoding/json's, naming it.
+		if w.Layers[i] = l.impl().tagged(); w.Layers[i] == nil {
+			// The zero Layer: marshal the network itself, so the error is
+			// encoding/json's, naming it.
 			v = n
 			break
 		}

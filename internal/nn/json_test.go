@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -103,15 +104,9 @@ func TestValidateRejectsEmptyAndUnnamed(t *testing.T) {
 	if err := (Network{Name: "x", Layers: []Layer{fc}}).Validate(); err != nil {
 		t.Errorf("minimal valid network rejected: %v", err)
 	}
-	if err := (Network{Name: "x", Layers: []Layer{{}}}).Validate(); err == nil {
-		t.Error("zero-armed layer union validated")
-	}
-	two := Layer{FC: fc.FC, Mixing: &MixingLayer{Name: "m", SeqLen: 1, Hidden: 1, Repeat: 1}}
-	if err := (Network{Name: "x", Layers: []Layer{two}}).Validate(); err == nil {
-		t.Error("two-armed layer union validated")
-	}
-	if _, err := two.MarshalJSON(); err == nil {
-		t.Error("two-armed layer union marshaled")
+	err := (Network{Name: "x", Layers: []Layer{{}}}).Validate()
+	if want := "network x: layer 0: nn: layer union has 0 arms set, want exactly 1"; fmt.Sprint(err) != want {
+		t.Errorf("zero layer: validation error %v, want %s", err, want)
 	}
 }
 
@@ -149,8 +144,8 @@ func TestLayerAccessors(t *testing.T) {
 	if once := att.Once(); once.Repeat() != 1 || att.Repeat() != 12 {
 		t.Error("Once must copy, not mutate")
 	}
-	if att.Attention.HeadDim() != 64 {
-		t.Errorf("head dim = %d, want 64", att.Attention.HeadDim())
+	if a, ok := att.Shape().(AttentionLayer); !ok || a.HeadDim() != 64 {
+		t.Errorf("attention shape %+v, ok %v: want head dim 64", att.Shape(), ok)
 	}
 	// 4·S·H² + 2·S²·H for S=128, H=768.
 	if want := 4*128.0*768*768 + 2*128.0*128*768; att.MACs() != want {
@@ -234,46 +229,48 @@ func FuzzParseNetwork(f *testing.F) {
 	})
 }
 
-// TestLayerAccessorTable drives every union arm (and the invalid zero
-// union) through the full accessor surface, pinning the footprint and
+// TestLayerAccessorTable drives every kind (and the invalid zero Layer)
+// through the full accessor surface, pinning the footprint and
 // buffer-sizing formulas per kind.
 func TestLayerAccessorTable(t *testing.T) {
 	cases := []struct {
 		layer              Layer
 		kind               LayerKind
+		shape              string // the type Shape returns
 		name               string
 		repeat             int
+		macs               float64
 		weightB, inB, outB int
 		outDim, inDim      int
 		convEq             bool
 	}{
 		{
 			layer: NewConv(ConvLayer{Name: "c", InC: 3, InH: 8, InW: 8, OutC: 16, KH: 3, KW: 3, Stride: 1, Pad: 1, Repeat: 2}),
-			kind:  KindConv, name: "c", repeat: 2,
+			kind:  KindConv, shape: "nn.ConvLayer", name: "c", repeat: 2, macs: 16 * 8 * 8 * 3 * 3 * 3,
 			weightB: 16 * 3 * 3 * 3, inB: 3 * 8 * 8, outB: 16 * 8 * 8,
 			outDim: 16, inDim: 3, convEq: true,
 		},
 		{
 			layer: NewFC(FCLayer{Name: "f", In: 64, Out: 10, Tokens: 4, Repeat: 3}),
-			kind:  KindFC, name: "f", repeat: 3,
+			kind:  KindFC, shape: "nn.FCLayer", name: "f", repeat: 3, macs: 64 * 10 * 4,
 			weightB: 64 * 10, inB: 64 * 4, outB: 10 * 4,
 			outDim: 10, inDim: 64, convEq: true,
 		},
 		{
 			layer: NewMixing(MixingLayer{Name: "m", SeqLen: 32, Hidden: 16, Repeat: 4}),
-			kind:  KindMixing, name: "m", repeat: 4,
+			kind:  KindMixing, shape: "nn.MixingLayer", name: "m", repeat: 4, macs: 0,
 			weightB: 0, inB: 32 * 16, outB: 32 * 16,
 			outDim: 16, inDim: 16, convEq: false,
 		},
 		{
 			layer: NewAttention(AttentionLayer{Name: "a", SeqLen: 96, Hidden: 64, Heads: 4, Repeat: 5}),
-			kind:  KindAttention, name: "a", repeat: 5,
+			kind:  KindAttention, shape: "nn.AttentionLayer", name: "a", repeat: 5, macs: 4*96*64*64 + 2*96*96*64,
 			weightB: 4 * 64 * 64, inB: 96 * 64, outB: 96 * 64,
 			outDim: 96, inDim: 96, convEq: false, // SeqLen > Hidden dominates
 		},
 		{
 			layer: NewFFN(FFNLayer{Name: "n", SeqLen: 8, Hidden: 16, FFHidden: 64, Repeat: 6}),
-			kind:  KindFFN, name: "n", repeat: 6,
+			kind:  KindFFN, shape: "nn.FFNLayer", name: "n", repeat: 6, macs: 2 * 8 * 16 * 64,
 			weightB: 2 * 16 * 64, inB: 8 * 16, outB: 8 * 16,
 			outDim: 64, inDim: 64, convEq: false, // FFHidden dominates
 		},
@@ -282,6 +279,12 @@ func TestLayerAccessorTable(t *testing.T) {
 		l := c.layer
 		if l.Kind() != c.kind || l.Name() != c.name || l.Repeat() != c.repeat {
 			t.Errorf("%s: kind=%q name=%q repeat=%d", c.kind, l.Kind(), l.Name(), l.Repeat())
+		}
+		if l.MACs() != c.macs {
+			t.Errorf("%s: MACs = %g, want %g", c.kind, l.MACs(), c.macs)
+		}
+		if got := fmt.Sprintf("%T", l.Shape()); got != c.shape {
+			t.Errorf("%s: Shape is a %s, want %s", c.kind, got, c.shape)
 		}
 		if l.WeightBytes() != c.weightB || l.InputBytes() != c.inB || l.OutputBytes() != c.outB {
 			t.Errorf("%s: footprints weight=%d in=%d out=%d, want %d/%d/%d",
@@ -301,18 +304,25 @@ func TestLayerAccessorTable(t *testing.T) {
 			t.Errorf("%s: valid layer rejected: %v", c.kind, err)
 		}
 	}
-	// The zero union answers every accessor with its zero value.
+	// The zero Layer answers every accessor with its zero value, and
+	// fails validation and encoding.
 	var zero Layer
-	if zero.Kind() != "" || zero.Name() != "" || zero.Repeat() != 0 || zero.MACs() != 0 ||
+	if zero.Shape() != nil || zero.Kind() != "" || zero.Name() != "" || zero.Repeat() != 0 || zero.MACs() != 0 ||
 		zero.WeightBytes() != 0 || zero.InputBytes() != 0 || zero.OutputBytes() != 0 ||
 		zero.OutDim() != 0 || zero.InDim() != 0 {
-		t.Error("zero union leaked a non-zero accessor value")
+		t.Error("zero Layer leaked a non-zero accessor value")
 	}
-	if zero.Once().Kind() != "" {
-		t.Error("Once on the zero union invented an arm")
+	if zero.Once() != zero {
+		t.Errorf("Once on the zero Layer gave %+v", zero.Once())
+	}
+	if err := zero.Validate(); fmt.Sprint(err) != "nn: layer union has 0 arms set, want exactly 1" {
+		t.Errorf("zero Layer: Validate = %v", err)
+	}
+	if _, err := zero.MarshalJSON(); fmt.Sprint(err) != "nn: encoding layer: union has 0 arms set, want exactly 1" {
+		t.Errorf("zero Layer: MarshalJSON error %v", err)
 	}
 	if _, ok := zero.ConvEquivalent(); ok {
-		t.Error("zero union claimed a conv equivalent")
+		t.Error("zero Layer claimed a conv equivalent")
 	}
 }
 
@@ -328,7 +338,7 @@ func TestMustNetworkHashMatchesNetworkHash(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("MustNetworkHash on a zero-arm layer did not panic")
+			t.Error("MustNetworkHash on a zero Layer did not panic")
 		}
 	}()
 	MustNetworkHash(Network{Name: "bad", Layers: []Layer{{}}})
@@ -382,18 +392,36 @@ func TestWorkloadHashesMatchFreshEncoding(t *testing.T) {
 		}
 	}
 
+	// A handed-out copy is the caller's: replacing a layer, deleting one
+	// in place (which shifts the rest down the copy's array) or reslicing
+	// moves neither the registry hash nor a fresh copy's.
 	before := fresh("ResNet-50")
 	regs, _ := Resolve("ResNet-50")
 	net := regs[0].Network()
-	net.Layers[0].Conv.Repeat += 7
-	net.Layers = net.Layers[1:]
+	conv, _ := net.Layers[0].ConvEquivalent()
+	conv.Repeat += 7
+	net.Layers[0] = NewConv(conv)
+	net.Layers = append(net.Layers[:1], net.Layers[2:]...)[1:]
 	if got := fresh("ResNet-50"); got != before {
-		t.Errorf("mutating a resolved clone moved the fresh hash: %s -> %s", before, got)
+		t.Errorf("changing a resolved copy moved the fresh hash: %s -> %s", before, got)
 	}
 	if regs[0].Hash() != before {
-		t.Errorf("mutating a resolved clone moved the registry hash: %s -> %s", before, regs[0].Hash())
+		t.Errorf("changing a resolved copy moved the registry hash: %s -> %s", before, regs[0].Hash())
 	}
-	if mutated, _ := NetworkHash(net); mutated == before {
-		t.Error("the mutation did not change the clone's own hash")
+	if changed, _ := NetworkHash(net); changed == before {
+		t.Error("the change did not move the copy's own hash")
+	}
+}
+
+// TestRegisteredNetworkAllocatesOnce: a registry copy is its layer list
+// and nothing else, one allocation however many layers the network has.
+func TestRegisteredNetworkAllocatesOnce(t *testing.T) {
+	regs, _ := Resolve("ResNet-50")
+	var sink Network
+	if n := testing.AllocsPerRun(100, func() { sink = regs[0].Network() }); n > 1 {
+		t.Errorf("Registered.Network of ResNet-50 made %v allocations, want at most 1", n)
+	}
+	if len(sink.Layers) == 0 {
+		t.Fatal("empty copy")
 	}
 }

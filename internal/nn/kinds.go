@@ -1,8 +1,11 @@
 package nn
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
-// LayerKind tags one arm of the Layer union. The string values are the
+// LayerKind tags the kind a Layer holds. The string values are the
 // "Kind" discriminator of the network-spec JSON schema, so they are part
 // of the on-disk contract and must stay stable.
 type LayerKind string
@@ -72,6 +75,19 @@ func (l FCLayer) InputBytes() int { return l.In * l.Tokens }
 // OutputBytes returns the 8-bit output activation footprint.
 func (l FCLayer) OutputBytes() int { return l.Out * l.Tokens }
 
+// The shape methods of FCLayer (see Layer).
+func (l FCLayer) kind() LayerKind                   { return KindFC }
+func (l FCLayer) name() string                      { return l.Name }
+func (l FCLayer) repeat() int                       { return l.Repeat }
+func (l FCLayer) outDim() int                       { return l.Out }
+func (l FCLayer) inDim() int                        { return l.In }
+func (l FCLayer) convEquivalent() (ConvLayer, bool) { return l.AsConv(), true }
+func (l FCLayer) tagged() any                       { return fcLayerJSON{KindFC, l} }
+func (l FCLayer) once() shape {
+	l.Repeat = 1
+	return l
+}
+
 // MixingLayer is an FNet-style Fourier token-mixing sublayer on a
 // [SeqLen][Hidden] activation block: y = Re(FFT_seq(FFT_hidden(x))).
 // It has no weights — on ReFOCUS the sequence-dimension transform is the
@@ -103,6 +119,19 @@ func (l MixingLayer) InputBytes() int { return l.SeqLen * l.Hidden }
 
 // OutputBytes returns the 8-bit output activation footprint.
 func (l MixingLayer) OutputBytes() int { return l.SeqLen * l.Hidden }
+
+// The shape methods of MixingLayer (see Layer).
+func (l MixingLayer) kind() LayerKind                   { return KindMixing }
+func (l MixingLayer) name() string                      { return l.Name }
+func (l MixingLayer) repeat() int                       { return l.Repeat }
+func (l MixingLayer) outDim() int                       { return l.Hidden }
+func (l MixingLayer) inDim() int                        { return l.Hidden }
+func (l MixingLayer) convEquivalent() (ConvLayer, bool) { return ConvLayer{}, false }
+func (l MixingLayer) tagged() any                       { return mixingLayerJSON{KindMixing, l} }
+func (l MixingLayer) once() shape {
+	l.Repeat = 1
+	return l
+}
 
 // AttentionLayer is one multi-head self-attention sublayer over a
 // [SeqLen][Hidden] block: q/k/v/output projections plus the per-head
@@ -147,6 +176,19 @@ func (l AttentionLayer) InputBytes() int { return l.SeqLen * l.Hidden }
 // OutputBytes returns the 8-bit output activation footprint.
 func (l AttentionLayer) OutputBytes() int { return l.SeqLen * l.Hidden }
 
+// The shape methods of AttentionLayer (see Layer).
+func (l AttentionLayer) kind() LayerKind                   { return KindAttention }
+func (l AttentionLayer) name() string                      { return l.Name }
+func (l AttentionLayer) repeat() int                       { return l.Repeat }
+func (l AttentionLayer) outDim() int                       { return max(l.Hidden, l.SeqLen) }
+func (l AttentionLayer) inDim() int                        { return max(l.Hidden, l.SeqLen) }
+func (l AttentionLayer) convEquivalent() (ConvLayer, bool) { return ConvLayer{}, false }
+func (l AttentionLayer) tagged() any                       { return attentionLayerJSON{KindAttention, l} }
+func (l AttentionLayer) once() shape {
+	l.Repeat = 1
+	return l
+}
+
 // FFNLayer is a transformer position-wise feed-forward sublayer: two
 // matmuls Hidden → FFHidden → Hidden applied to each of SeqLen tokens.
 type FFNLayer struct {
@@ -179,277 +221,147 @@ func (l FFNLayer) InputBytes() int { return l.SeqLen * l.Hidden }
 // OutputBytes returns the 8-bit output activation footprint.
 func (l FFNLayer) OutputBytes() int { return l.SeqLen * l.Hidden }
 
-// Layer is the tagged union over the layer taxonomy: exactly one arm is
-// set. Construct with NewConv/NewFC/NewMixing/NewAttention/NewFFN (or by
-// parsing a network spec); the zero value is invalid. It serializes as a
-// flat JSON object discriminated by a "Kind" field (see ParseNetwork).
-type Layer struct {
-	// Exactly one of the following is non-nil.
-	Conv      *ConvLayer
-	FC        *FCLayer
-	Mixing    *MixingLayer
-	Attention *AttentionLayer
-	FFN       *FFNLayer
+// The shape methods of FFNLayer (see Layer).
+func (l FFNLayer) kind() LayerKind                   { return KindFFN }
+func (l FFNLayer) name() string                      { return l.Name }
+func (l FFNLayer) repeat() int                       { return l.Repeat }
+func (l FFNLayer) outDim() int                       { return max(l.FFHidden, l.Hidden) }
+func (l FFNLayer) inDim() int                        { return max(l.FFHidden, l.Hidden) }
+func (l FFNLayer) convEquivalent() (ConvLayer, bool) { return ConvLayer{}, false }
+func (l FFNLayer) tagged() any                       { return ffnLayerJSON{KindFFN, l} }
+func (l FFNLayer) once() shape {
+	l.Repeat = 1
+	return l
 }
 
-// NewConv wraps a convolution layer in the union.
-func NewConv(l ConvLayer) Layer { return Layer{Conv: &l} }
+// Layer holds one layer of the taxonomy by value: exactly one kind's
+// shape (ConvLayer, FCLayer, MixingLayer, AttentionLayer or FFNLayer).
+// Construct with NewConv/NewFC/NewMixing/NewAttention/NewFFN (or by
+// parsing a network spec); the zero value is the one invalid layer, and
+// it answers every accessor with a zero. Nothing inside a Layer can be
+// changed in place, so copying a Layer, or a slice of them, copies the
+// workload. It serializes as a flat JSON object discriminated by a "Kind"
+// field (see ParseNetwork).
+type Layer struct{ s shape }
 
-// NewFC wraps a dense matmul layer in the union.
-func NewFC(l FCLayer) Layer { return Layer{FC: &l} }
-
-// NewMixing wraps a Fourier token-mixing sublayer in the union.
-func NewMixing(l MixingLayer) Layer { return Layer{Mixing: &l} }
-
-// NewAttention wraps a self-attention sublayer in the union.
-func NewAttention(l AttentionLayer) Layer { return Layer{Attention: &l} }
-
-// NewFFN wraps a feed-forward sublayer in the union.
-func NewFFN(l FFNLayer) Layer { return Layer{FFN: &l} }
-
-// arms counts the set arms — valid layers have exactly one.
-func (l Layer) arms() int {
-	n := 0
-	for _, set := range []bool{l.Conv != nil, l.FC != nil, l.Mixing != nil, l.Attention != nil, l.FFN != nil} {
-		if set {
-			n++
-		}
-	}
-	return n
+// shape is the per-kind method set behind Layer: each kind answers for
+// itself, and noShape for the zero Layer. It is the one home of every
+// per-kind choice but two: the decoder's Kind→type mapping (json.go) and
+// the lowering (dataflow.EventsOf).
+type shape interface {
+	kind() LayerKind
+	Validate() error
+	MACs() float64
+	WeightBytes() int
+	InputBytes() int
+	OutputBytes() int
+	name() string
+	repeat() int
+	once() shape
+	outDim() int
+	inDim() int
+	convEquivalent() (ConvLayer, bool)
+	tagged() any
 }
 
-// Kind returns the set arm's tag, or "" for an invalid (zero or
-// multi-arm) union.
-func (l Layer) Kind() LayerKind {
-	if l.arms() != 1 {
-		return ""
+// NewConv wraps a convolution layer.
+func NewConv(l ConvLayer) Layer { return Layer{l} }
+
+// NewFC wraps a dense matmul layer.
+func NewFC(l FCLayer) Layer { return Layer{l} }
+
+// NewMixing wraps a Fourier token-mixing sublayer.
+func NewMixing(l MixingLayer) Layer { return Layer{l} }
+
+// NewAttention wraps a self-attention sublayer.
+func NewAttention(l AttentionLayer) Layer { return Layer{l} }
+
+// NewFFN wraps a feed-forward sublayer.
+func NewFFN(l FFNLayer) Layer { return Layer{l} }
+
+// impl returns the layer's per-kind method set.
+func (l Layer) impl() shape {
+	if l.s == nil {
+		return noShape{}
 	}
-	switch {
-	case l.Conv != nil:
-		return KindConv
-	case l.FC != nil:
-		return KindFC
-	case l.Mixing != nil:
-		return KindMixing
-	case l.Attention != nil:
-		return KindAttention
-	default:
-		return KindFFN
-	}
+	return l.s
 }
 
-// Validate reports a malformed union or an inconsistent shape.
-func (l Layer) Validate() error {
-	if n := l.arms(); n != 1 {
-		return fmt.Errorf("nn: layer union has %d arms set, want exactly 1", n)
-	}
-	switch {
-	case l.Conv != nil:
-		return l.Conv.Validate()
-	case l.FC != nil:
-		return l.FC.Validate()
-	case l.Mixing != nil:
-		return l.Mixing.Validate()
-	case l.Attention != nil:
-		return l.Attention.Validate()
-	default:
-		return l.FFN.Validate()
-	}
-}
+// Shape returns a copy of the layer's kind-specific shape (a ConvLayer,
+// FCLayer, MixingLayer, AttentionLayer or FFNLayer), or nil for the zero
+// Layer, for a caller that type-switches on the kind (dataflow.EventsOf).
+func (l Layer) Shape() any { return l.s }
+
+// Kind returns the layer's tag, or "" for the zero Layer.
+func (l Layer) Kind() LayerKind { return l.impl().kind() }
+
+// Validate reports the zero Layer or an inconsistent shape.
+func (l Layer) Validate() error { return l.impl().Validate() }
 
 // Name returns the layer's name.
-func (l Layer) Name() string {
-	switch {
-	case l.Conv != nil:
-		return l.Conv.Name
-	case l.FC != nil:
-		return l.FC.Name
-	case l.Mixing != nil:
-		return l.Mixing.Name
-	case l.Attention != nil:
-		return l.Attention.Name
-	case l.FFN != nil:
-		return l.FFN.Name
-	default:
-		return ""
-	}
-}
+func (l Layer) Name() string { return l.impl().name() }
 
 // Repeat returns the identical-instance count.
-func (l Layer) Repeat() int {
-	switch {
-	case l.Conv != nil:
-		return l.Conv.Repeat
-	case l.FC != nil:
-		return l.FC.Repeat
-	case l.Mixing != nil:
-		return l.Mixing.Repeat
-	case l.Attention != nil:
-		return l.Attention.Repeat
-	case l.FFN != nil:
-		return l.FFN.Repeat
-	default:
-		return 0
-	}
-}
+func (l Layer) Repeat() int { return l.impl().repeat() }
 
 // Once returns a copy of the layer with Repeat forced to 1 — the single
 // instance a per-layer profiler evaluates.
-func (l Layer) Once() Layer {
-	switch {
-	case l.Conv != nil:
-		c := *l.Conv
-		c.Repeat = 1
-		return Layer{Conv: &c}
-	case l.FC != nil:
-		c := *l.FC
-		c.Repeat = 1
-		return Layer{FC: &c}
-	case l.Mixing != nil:
-		c := *l.Mixing
-		c.Repeat = 1
-		return Layer{Mixing: &c}
-	case l.Attention != nil:
-		c := *l.Attention
-		c.Repeat = 1
-		return Layer{Attention: &c}
-	case l.FFN != nil:
-		c := *l.FFN
-		c.Repeat = 1
-		return Layer{FFN: &c}
-	default:
-		return l
-	}
-}
+func (l Layer) Once() Layer { return Layer{l.impl().once()} }
 
 // MACs returns multiply-accumulates for one instance of the layer.
-func (l Layer) MACs() float64 {
-	switch {
-	case l.Conv != nil:
-		return l.Conv.MACs()
-	case l.FC != nil:
-		return l.FC.MACs()
-	case l.Mixing != nil:
-		return l.Mixing.MACs()
-	case l.Attention != nil:
-		return l.Attention.MACs()
-	case l.FFN != nil:
-		return l.FFN.MACs()
-	default:
-		return 0
-	}
-}
+func (l Layer) MACs() float64 { return l.impl().MACs() }
 
 // WeightBytes returns the 8-bit parameter footprint of one instance.
-func (l Layer) WeightBytes() int {
-	switch {
-	case l.Conv != nil:
-		return l.Conv.WeightBytes()
-	case l.FC != nil:
-		return l.FC.WeightBytes()
-	case l.Attention != nil:
-		return l.Attention.WeightBytes()
-	case l.FFN != nil:
-		return l.FFN.WeightBytes()
-	default:
-		return 0
-	}
-}
+func (l Layer) WeightBytes() int { return l.impl().WeightBytes() }
 
 // InputBytes returns the 8-bit input activation footprint.
-func (l Layer) InputBytes() int {
-	switch {
-	case l.Conv != nil:
-		return l.Conv.InputBytes()
-	case l.FC != nil:
-		return l.FC.InputBytes()
-	case l.Mixing != nil:
-		return l.Mixing.InputBytes()
-	case l.Attention != nil:
-		return l.Attention.InputBytes()
-	case l.FFN != nil:
-		return l.FFN.InputBytes()
-	default:
-		return 0
-	}
-}
+func (l Layer) InputBytes() int { return l.impl().InputBytes() }
 
 // OutputBytes returns the 8-bit output activation footprint.
-func (l Layer) OutputBytes() int {
-	switch {
-	case l.Conv != nil:
-		return l.Conv.OutputBytes()
-	case l.FC != nil:
-		return l.FC.OutputBytes()
-	case l.Mixing != nil:
-		return l.Mixing.OutputBytes()
-	case l.Attention != nil:
-		return l.Attention.OutputBytes()
-	case l.FFN != nil:
-		return l.FFN.OutputBytes()
-	default:
-		return 0
-	}
-}
+func (l Layer) OutputBytes() int { return l.impl().OutputBytes() }
 
 // OutDim returns the layer's widest output dimension — the N_F
 // contribution that sizes the §5.3.3 output buffer (filters for conv,
 // output features for fc, the largest matmul output for the transformer
 // sublayers).
-func (l Layer) OutDim() int {
-	switch {
-	case l.Conv != nil:
-		return l.Conv.OutC
-	case l.FC != nil:
-		return l.FC.Out
-	case l.Mixing != nil:
-		return l.Mixing.Hidden
-	case l.Attention != nil:
-		return maxInt(l.Attention.Hidden, l.Attention.SeqLen)
-	case l.FFN != nil:
-		return maxInt(l.FFN.FFHidden, l.FFN.Hidden)
-	default:
-		return 0
-	}
-}
+func (l Layer) OutDim() int { return l.impl().outDim() }
 
 // InDim returns the layer's widest contraction dimension — the N_C
 // channel-count twin of OutDim.
-func (l Layer) InDim() int {
-	switch {
-	case l.Conv != nil:
-		return l.Conv.InC
-	case l.FC != nil:
-		return l.FC.In
-	case l.Mixing != nil:
-		return l.Mixing.Hidden
-	case l.Attention != nil:
-		return maxInt(l.Attention.Hidden, l.Attention.SeqLen)
-	case l.FFN != nil:
-		return maxInt(l.FFN.FFHidden, l.FFN.Hidden)
-	default:
-		return 0
-	}
-}
+func (l Layer) InDim() int { return l.impl().inDim() }
 
 // ConvEquivalent returns the layer's single-conv expression when one
 // exists: the conv itself, or an FC's degenerate 1×1 conv. Mixing,
 // attention and FFN sublayers decompose into multiple passes instead
 // (see the dataflow package) and report false.
-func (l Layer) ConvEquivalent() (ConvLayer, bool) {
-	switch {
-	case l.Conv != nil:
-		return *l.Conv, true
-	case l.FC != nil:
-		return l.FC.AsConv(), true
-	default:
-		return ConvLayer{}, false
-	}
+func (l Layer) ConvEquivalent() (ConvLayer, bool) { return l.impl().convEquivalent() }
+
+// noShape answers for the zero Layer: Validate fails, the JSON wrapper is
+// nil (an encoding error) and every count is zero.
+type noShape struct{}
+
+func (noShape) kind() LayerKind                   { return "" }
+func (noShape) name() string                      { return "" }
+func (noShape) repeat() int                       { return 0 }
+func (noShape) once() shape                       { return nil }
+func (noShape) outDim() int                       { return 0 }
+func (noShape) inDim() int                        { return 0 }
+func (noShape) convEquivalent() (ConvLayer, bool) { return ConvLayer{}, false }
+func (noShape) tagged() any                       { return nil }
+
+// Validate fails: the zero Layer is the one invalid layer.
+func (noShape) Validate() error {
+	return errors.New("nn: layer union has 0 arms set, want exactly 1")
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
+// MACs is zero.
+func (noShape) MACs() float64 { return 0 }
+
+// WeightBytes is zero.
+func (noShape) WeightBytes() int { return 0 }
+
+// InputBytes is zero.
+func (noShape) InputBytes() int { return 0 }
+
+// OutputBytes is zero.
+func (noShape) OutputBytes() int { return 0 }

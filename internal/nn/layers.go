@@ -63,6 +63,19 @@ func (l ConvLayer) Validate() error {
 	return nil
 }
 
+// The shape methods of ConvLayer (see Layer).
+func (l ConvLayer) kind() LayerKind                   { return KindConv }
+func (l ConvLayer) name() string                      { return l.Name }
+func (l ConvLayer) repeat() int                       { return l.Repeat }
+func (l ConvLayer) outDim() int                       { return l.OutC }
+func (l ConvLayer) inDim() int                        { return l.InC }
+func (l ConvLayer) convEquivalent() (ConvLayer, bool) { return l, true }
+func (l ConvLayer) tagged() any                       { return convLayerJSON{KindConv, l} }
+func (l ConvLayer) once() shape {
+	l.Repeat = 1
+	return l
+}
+
 // Network is a named list of layers — a workload spec. It serializes to
 // the tagged-union JSON schema (see ParseNetwork / NetworkJSON) and its
 // canonical encoding hashes to a stable NetworkHash identity.

@@ -45,8 +45,8 @@ import (
 type Config struct {
 	// Workers bounds concurrent design-point evaluations (the worker
 	// pool). Each evaluation internally fans networks out across
-	// arch.Parallelism() cores, so Workers is a request-level bound, not
-	// a core count. Default 4.
+	// GOMAXPROCS cores (arch.ParallelFor), so Workers is a request-level
+	// bound, not a core count. Default 4.
 	Workers int
 	// CacheSize is the LRU capacity in (config, network) reports.
 	// Default 4096.

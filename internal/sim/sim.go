@@ -150,8 +150,9 @@ func LoadConfig(data []byte) (arch.SystemConfig, error) {
 
 // ResolveNetworks returns the workload set a -network argument names:
 // one registered network (case-insensitive), or the paper's five CNN
-// benchmarks for "all", as deep clones of the registry entries
-// (ResolveRegistered). A miss lists every valid name.
+// benchmarks for "all", as copies of the registry entries
+// (ResolveRegistered), one allocation each. A miss lists every valid
+// name.
 func ResolveNetworks(name string) ([]nn.Network, error) {
 	regs, err := ResolveRegistered(name)
 	if err != nil {
@@ -162,7 +163,7 @@ func ResolveNetworks(name string) ([]nn.Network, error) {
 
 // ResolveRegistered resolves a workload name (nn.Resolve) to the registry
 // entries it selects, whose names and hashes read in place; a miss is an
-// error listing every valid name. The serving layer clones only the
+// error listing every valid name. The serving layer copies only the
 // networks a cache misses.
 func ResolveRegistered(name string) ([]nn.Registered, error) {
 	regs, ok := nn.Resolve(name)
@@ -172,7 +173,7 @@ func ResolveRegistered(name string) ([]nn.Registered, error) {
 	return regs, nil
 }
 
-// clones deep-copies registry entries for evaluation.
+// clones copies registry entries for evaluation.
 func clones(regs []nn.Registered) []nn.Network {
 	nets := make([]nn.Network, len(regs))
 	for i, r := range regs {
@@ -207,7 +208,7 @@ func ResolveTarget(preset string, config []byte, network string) (Target, error)
 	return Target{Config: cfg, Networks: regs}, nil
 }
 
-// Clones returns deep clones of the target's networks, for evaluation.
+// Clones returns copies of the target's networks, for evaluation.
 func (t Target) Clones() []nn.Network { return clones(t.Networks) }
 
 // Identity returns what a job ID names the target by: the design point's
