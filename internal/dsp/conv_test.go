@@ -10,6 +10,13 @@ import (
 	"refocus/internal/dsp/dsptest"
 )
 
+// corrValid is CorrValid into a fresh destination.
+func corrValid(x, k []float64) []float64 {
+	out := make([]float64, len(x)-len(k)+1)
+	CorrValid(out, x, k)
+	return out
+}
+
 // corrFFT is the valid cross-correlation of x with k by the correlation
 // theorem on the planned transforms: IFFT(FFT(x)·conj(FFT(k))) at length
 // len(x), whose lags 0 .. len(x)-len(k) never wrap.
@@ -42,10 +49,42 @@ func TestCorrValidIsConvWithFlippedKernel(t *testing.T) {
 	for i, v := range k {
 		flipped[len(k)-1-i] = v
 	}
-	corr := CorrValid(x, k)
+	corr := corrValid(x, k)
 	conv := dsptest.ConvValid(x, flipped)
 	if d := maxAbsDiff(corr, conv); d > 1e-12 {
 		t.Errorf("CorrValid != ConvValid with flipped kernel (diff %g)", d)
+	}
+}
+
+// TestCorrValidDestination: CorrValid writes every valid lag into the
+// caller's slice, overwriting what was there, and refuses a destination
+// of any other length or a kernel longer than its input.
+func TestCorrValidDestination(t *testing.T) {
+	x := []float64{1, 2, 3, 4}
+	k := []float64{1, 10}
+	dst := []float64{-7, -7, -7}
+	CorrValid(dst, x, k)
+	for i, want := range []float64{21, 32, 43} {
+		if dst[i] != want {
+			t.Errorf("dst[%d] = %g, want %g", i, dst[i], want)
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		dst, x, k []float64
+	}{
+		{"short destination", make([]float64, 2), x, k},
+		{"long destination", make([]float64, 4), x, k},
+		{"kernel longer than input", make([]float64, 1), []float64{1}, k},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", tc.name)
+				}
+			}()
+			CorrValid(tc.dst, tc.x, tc.k)
+		}()
 	}
 }
 
@@ -69,7 +108,7 @@ func TestConvFFTMatchesDirect(t *testing.T) {
 	for _, tc := range []struct{ nx, nk int }{{1, 1}, {5, 3}, {64, 9}, {100, 25}, {256, 9}, {33, 17}} {
 		x := randReal(rng, tc.nx)
 		k := randReal(rng, tc.nk)
-		if d := maxAbsDiff(CorrValid(x, k), corrFFT(x, k)); d > 1e-8 {
+		if d := maxAbsDiff(corrValid(x, k), corrFFT(x, k)); d > 1e-8 {
 			t.Errorf("nx=%d nk=%d: FFT correlation differs from CorrValid by %g", tc.nx, tc.nk, d)
 		}
 	}
@@ -84,7 +123,7 @@ func TestConvPropertyTheorem(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		x := randReal(rng, nx)
 		k := randReal(rng, nk)
-		return maxAbsDiff(CorrValid(x, k), corrFFT(x, k)) < 1e-7
+		return maxAbsDiff(corrValid(x, k), corrFFT(x, k)) < 1e-7
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -103,8 +142,8 @@ func TestConvPropertyLinearity(t *testing.T) {
 		for i := range mix {
 			mix[i] = a*k1[i] + b*k2[i]
 		}
-		lhs := CorrValid(x, mix)
-		c1, c2 := CorrValid(x, k1), CorrValid(x, k2)
+		lhs := corrValid(x, mix)
+		c1, c2 := corrValid(x, k1), corrValid(x, k2)
 		rhs := make([]float64, len(lhs))
 		for i := range rhs {
 			rhs[i] = a*c1[i] + b*c2[i]
@@ -120,9 +159,10 @@ func BenchmarkConvDirect256x9(b *testing.B) {
 	rng := rand.New(rand.NewSource(26))
 	x := randReal(rng, 256)
 	k := randReal(rng, 9)
+	dst := make([]float64, len(x)-len(k)+1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CorrValid(x, k)
+		CorrValid(dst, x, k)
 	}
 }

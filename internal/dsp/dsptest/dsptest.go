@@ -1,9 +1,9 @@
 // Package dsptest holds the reference transforms the dsp and jtc tests
 // check the fast paths against: by-definition DFTs, a textbook recursive
-// FFT and what is built on it, and the direct valid convolution. It
-// imports nothing from dsp, so the dsp package's own tests can use it
-// without an import cycle, and no reference shares code with the planned
-// transforms it checks.
+// FFT and what is built on it, and the direct valid convolution and
+// correlation. It imports nothing from dsp, so the dsp package's own
+// tests can use it without an import cycle, and no reference shares code
+// with the planned transforms it checks.
 package dsptest
 
 import (
@@ -166,6 +166,24 @@ func CZT(x []complex128, s float64) []complex128 {
 	out := make([]complex128, n)
 	for k := range out {
 		out[k] = conv[k] * chirp(float64(k)*float64(k))
+	}
+	return out
+}
+
+// CorrValid computes the valid-mode cross-correlation by its definition,
+// out[i] = Σ_j x[i+j]·k[j], into a fresh slice of len(x)-len(k)+1
+// samples. It panics when the kernel is longer than the input.
+func CorrValid(x, k []float64) []float64 {
+	if len(k) > len(x) {
+		panic(fmt.Sprintf("dsptest: CorrValid kernel length %d exceeds input length %d", len(k), len(x)))
+	}
+	out := make([]float64, len(x)-len(k)+1)
+	for i := range out {
+		var sum float64
+		for j, kv := range k {
+			sum += x[i+j] * kv
+		}
+		out[i] = sum
 	}
 	return out
 }

@@ -54,7 +54,7 @@ func FuzzConvTheorem(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		x := randReal(rng, nx)
 		k := randReal(rng, nk)
-		direct := CorrValid(x, k)
+		direct := corrValid(x, k)
 		viaFFT := corrFFT(x, k)
 		for i := range direct {
 			if math.Abs(direct[i]-viaFFT[i]) > 1e-6*(1+math.Abs(direct[i])) {

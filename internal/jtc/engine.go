@@ -211,9 +211,9 @@ func (e *Engine) Conv2DCtx(ctx context.Context, input, weights *tensor.Tensor, s
 
 	if workers == 1 {
 		var st PassStats
-		rows := make([][]float64, 2*c*kh)
+		s := newScratch(c, kh, oh, ow)
 		for fi := 0; fi < f; fi++ {
-			e.convFilter(ctx, out, inPlanes, groups, posW, negW, rows, fi, kh, kw, opScale, &st)
+			e.convFilter(ctx, out, inPlanes, groups, posW, negW, s, fi, kh, kw, opScale, &st)
 		}
 		e.mu.Lock()
 		e.stats.Add(st)
@@ -226,9 +226,9 @@ func (e *Engine) Conv2DCtx(ctx context.Context, input, weights *tensor.Tensor, s
 			go func(wi int) {
 				defer wg.Done()
 				wctx := obs.Lane(ctx)
-				rows := make([][]float64, 2*c*kh)
+				s := newScratch(c, kh, oh, ow)
 				for fi := wi; fi < f; fi += workers {
-					e.convFilter(wctx, out, inPlanes, groups, posW, negW, rows, fi, kh, kw, opScale, &perWorker[wi])
+					e.convFilter(wctx, out, inPlanes, groups, posW, negW, s, fi, kh, kw, opScale, &perWorker[wi])
 				}
 			}(wi)
 		}
@@ -256,30 +256,61 @@ func (e *Engine) Conv2DCtx(ctx context.Context, input, weights *tensor.Tensor, s
 	return sub
 }
 
+// scratch is one Conv2D worker's reusable memory, allocated once per
+// worker per call and reused across the worker's filters, so no filter
+// and no pass allocates. Workers never share one. The exported ConvPlane
+// runs the same pass loop on a zero scratch.
+type scratch struct {
+	// rows are the 2·C·KH kernel row headers, repointed at each filter's
+	// split-part kernels.
+	rows [][]float64
+	// acc is one filter's digital accumulator, well the photodetector
+	// charge wells every accumulation window reuses, and row one output
+	// row for the direct datapath; all three are views of one buffer.
+	acc, well, row []float64
+	// plane is one ConvPlane call's output plane, its rows views of
+	// planeBuf.
+	plane    [][]float64
+	planeBuf []float64
+	// sig, kern and res are one pass's tiled signal, tiled kernel and
+	// correlator output.
+	sig, kern, res []float64
+}
+
+// newScratch sizes a worker's scratch for a layer of C channels, KH
+// kernel rows and an oh×ow output plane. The pass buffers grow on first
+// use, so the direct datapath never allocates them.
+func newScratch(c, kh, oh, ow int) *scratch {
+	buf := make([]float64, (2*oh+1)*ow)
+	return &scratch{
+		rows: make([][]float64, 2*c*kh),
+		acc:  buf[:oh*ow],
+		well: buf[oh*ow : 2*oh*ow],
+		row:  buf[2*oh*ow:],
+	}
+}
+
 // convFilter computes one output filter: optical accumulation over channel
 // groups, the pseudo-negative subtraction, and the operand-scale undo,
-// writing into out's (disjoint) filter-fi region. rows is the calling
-// worker's row-header scratch (2·C·KH entries), repointed at each filter's
-// kernels so no header is allocated per kernel. st receives the pass
-// statistics; callers running convFilter concurrently hand each worker its
-// own rows and tally and merge the tallies after the barrier.
-func (e *Engine) convFilter(ctx context.Context, out *tensor.Tensor, inPlanes [][][]float64, groups []rowGroup, posW, negW []float64, rows [][]float64, fi, kh, kw int, opScale float64, st *PassStats) {
+// writing into out's (disjoint) filter-fi region. s is the calling
+// worker's scratch; its row headers are repointed at the filter's kernels
+// so no header is allocated per kernel. st receives the pass statistics;
+// callers running convFilter concurrently hand each worker its own
+// scratch and tally and merge the tallies after the barrier.
+func (e *Engine) convFilter(ctx context.Context, out *tensor.Tensor, inPlanes [][][]float64, groups []rowGroup, posW, negW []float64, s *scratch, fi, kh, kw int, opScale float64, st *PassStats) {
 	c := len(inPlanes)
 	h, w := len(inPlanes[0]), len(inPlanes[0][0])
 	oh, ow := h-kh+1, w-kw+1
 	// Point the worker's row headers at the filter's kernels: split part
 	// kernel ci is posRows (negRows) [ci·kh, (ci+1)·kh).
 	n := c * kh
-	posRows, negRows := rows[:n], rows[n:]
+	posRows, negRows := s.rows[:n], s.rows[n:]
 	for i := range posRows {
 		posRows[i] = posW[(fi*n+i)*kw : (fi*n+i+1)*kw]
 		negRows[i] = negW[(fi*n+i)*kw : (fi*n+i+1)*kw]
 	}
-	// The filter's digital accumulator, the photodetector charge wells
-	// every accumulation window reuses, and one output row of scratch for
-	// the direct datapath.
-	buf := make([]float64, (2*oh+1)*ow)
-	acc, well, row := buf[:oh*ow], buf[oh*ow:2*oh*ow], buf[2*oh*ow:]
+	acc := s.acc
+	clear(acc)
 	filterSpan := obs.StartSpan(ctx, "jtc.filter")
 	passesBefore := st.Passes
 	// Channel groups of M accumulate optically; groups accumulate
@@ -290,8 +321,8 @@ func (e *Engine) convFilter(ctx context.Context, out *tensor.Tensor, inPlanes []
 		if cn > c {
 			cn = c
 		}
-		e.accumulateGroup(ctx, acc, well, row, inPlanes, groups, posRows, c0, cn, kh, kw, +1, st)
-		e.accumulateGroup(ctx, acc, well, row, inPlanes, groups, negRows, c0, cn, kh, kw, -1, st)
+		e.accumulateGroup(ctx, s, inPlanes, groups, posRows, c0, cn, kh, kw, +1, st)
+		e.accumulateGroup(ctx, s, inPlanes, groups, negRows, c0, cn, kh, kw, -1, st)
 	}
 	// Undo the operand scales in the digital domain.
 	for y := 0; y < oh; y++ {
@@ -307,13 +338,13 @@ func (e *Engine) convFilter(ctx context.Context, out *tensor.Tensor, inPlanes []
 }
 
 // accumulateGroup runs one temporal-accumulation window: channels
-// [c0,cn) of one filter, whose kernel ci is rows[ci·kh:(ci+1)·kh],
-// through the JTC, detector-accumulated in well, one ADC readout, then
-// added into acc with the given sign (the pseudo-negative subtraction
-// happens here). row is the direct
-// datapath's output-row scratch. Pass counts tally into st, never into
-// the engine's shared stats, so concurrent workers do not contend.
-func (e *Engine) accumulateGroup(ctx context.Context, acc, well, row []float64, inPlanes [][][]float64, groups []rowGroup, rows [][]float64, c0, cn, kh, kw int, sign float64, st *PassStats) {
+// [c0,cn) of one filter, whose kernel ci is kernels[ci·kh:(ci+1)·kh],
+// through the JTC, detector-accumulated in s.well, one ADC readout, then
+// added into s.acc with the given sign (the pseudo-negative subtraction
+// happens here). The per-pass path runs ConvPlane's pass loop on s. Pass
+// counts tally into st, never into the engine's shared stats, so
+// concurrent workers do not contend.
+func (e *Engine) accumulateGroup(ctx context.Context, s *scratch, inPlanes [][][]float64, groups []rowGroup, kernels [][]float64, c0, cn, kh, kw int, sign float64, st *PassStats) {
 	h := len(inPlanes[0])
 	width := len(inPlanes[0][0])
 	oh, ow := h-kh+1, width-kw+1
@@ -327,11 +358,12 @@ func (e *Engine) accumulateGroup(ctx context.Context, acc, well, row []float64, 
 		}()
 	}
 
+	well := s.well
 	clear(well)
 	var maxSingle float64
 	any := false
 	for ci := c0; ci < cn; ci++ {
-		kernel := rows[ci*kh : (ci+1)*kh]
+		kernel := kernels[ci*kh : (ci+1)*kh]
 		if planeIsZero(kernel) {
 			// An all-zero split part: its weight DACs stay dark and no
 			// pass is issued.
@@ -347,12 +379,12 @@ func (e *Engine) accumulateGroup(ctx context.Context, acc, well, row []float64, 
 			// j0 .. j0+g-1 for output rows 0..oh-1.
 			view := inPlanes[ci][grp.j0 : grp.j0+oh-1+grp.g]
 			if e.direct {
-				correlateInto(well, row, view, sub, &maxSingle)
+				correlateInto(well, s.row, view, sub, &maxSingle)
 				st.Add(grp.stats)
 				continue
 			}
-			plane, stats := ConvPlane(view, sub, e.cfg.InputWaveguides, e.cfg.Correlator)
-			st.Add(stats)
+			st.Add(s.convPlane(view, sub, e.cfg.InputWaveguides, e.cfg.Correlator))
+			plane := s.plane
 			for y := 0; y < oh; y++ {
 				for x := 0; x < ow; x++ {
 					v := plane[y][x]
@@ -378,6 +410,7 @@ func (e *Engine) accumulateGroup(ctx context.Context, acc, well, row []float64, 
 			well[i] = q
 		}
 	}
+	acc := s.acc
 	for i, v := range well {
 		acc[i] += sign * v
 	}

@@ -67,16 +67,20 @@ func NewPhysicalJTC(aperture int) *PhysicalJTC {
 func (j *PhysicalJTC) MaxOperandLen() int { return j.Aperture / 8 }
 
 // Correlate computes the valid cross-correlation of signal with kernel
-// (out[i] = Σ_j signal[i+j]·kernel[j]) by light propagation. Both operands
-// must be non-negative (amplitude-encoded); their combined length must not
-// exceed MaxOperandLen.
-func (j *PhysicalJTC) Correlate(signal, kernel []float64) []float64 {
+// (dst[i] = Σ_j signal[i+j]·kernel[j], len(dst) = len(signal)-len(kernel)+1)
+// by light propagation; it is a Correlator. Both operands must be
+// non-negative (amplitude-encoded); their combined length must not exceed
+// MaxOperandLen. The fields it propagates are allocated per call.
+func (j *PhysicalJTC) Correlate(dst, signal, kernel []float64) {
 	ls, lk := len(signal), len(kernel)
 	if lk == 0 || ls == 0 {
 		panic("jtc: empty operand")
 	}
 	if lk > ls {
 		panic(fmt.Sprintf("jtc: kernel length %d exceeds signal length %d", lk, ls))
+	}
+	if len(dst) != ls-lk+1 {
+		panic(fmt.Sprintf("jtc: destination holds %d samples, want %d", len(dst), ls-lk+1))
 	}
 	if ls+lk > j.MaxOperandLen() {
 		panic(fmt.Sprintf("jtc: operands of %d samples exceed aperture capacity %d", ls+lk, j.MaxOperandLen()))
@@ -124,13 +128,10 @@ func (j *PhysicalJTC) Correlate(signal, kernel []float64) []float64 {
 		eff = 1
 	}
 	gain := a1 * a1 * a2 * eff / math.Sqrt(float64(n))
-	nOut := ls - lk + 1
-	out := make([]float64, nOut)
-	for lag := 0; lag < nOut; lag++ {
+	for lag := range dst {
 		m := (sep - lag + n) % n
-		out[lag] = signalOut[m] / gain
+		dst[lag] = signalOut[m] / gain
 	}
-	return out
 }
 
 // ConvolveValid computes the valid linear convolution of signal with kernel
@@ -140,7 +141,10 @@ func (j *PhysicalJTC) ConvolveValid(signal, kernel []float64) []float64 {
 	for i, v := range kernel {
 		flipped[len(kernel)-1-i] = v
 	}
-	return j.Correlate(signal, flipped)
+	// A kernel longer than the signal gets Correlate's own panic.
+	out := make([]float64, max(len(signal)-len(kernel)+1, 0))
+	j.Correlate(out, signal, flipped)
+	return out
 }
 
 // OutputPlane runs the pipeline and returns the raw detected output plane

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"refocus/internal/dsp"
 	"refocus/internal/dsp/dsptest"
 	"refocus/internal/optics"
 )
@@ -17,6 +16,14 @@ func randNonNeg(rng *rand.Rand, n int) []float64 {
 		x[i] = rng.Float64()
 	}
 	return x
+}
+
+// correlate runs corr into a fresh destination of len(signal)-len(kernel)+1
+// samples (none when the kernel is longer, so corr's own check panics).
+func correlate(corr Correlator, signal, kernel []float64) []float64 {
+	out := make([]float64, max(len(signal)-len(kernel)+1, 0))
+	corr(out, signal, kernel)
+	return out
 }
 
 func maxAbsDiff(a, b []float64) float64 {
@@ -41,8 +48,8 @@ func TestPhysicalJTCMatchesDigitalCorrelation(t *testing.T) {
 	for _, tc := range []struct{ ls, lk int }{{8, 3}, {16, 9}, {32, 5}, {64, 25}, {100, 9}, {119, 9}} {
 		s := randNonNeg(rng, tc.ls)
 		k := randNonNeg(rng, tc.lk)
-		got := j.Correlate(s, k)
-		want := dsp.CorrValid(s, k)
+		got := correlate(j.Correlate, s, k)
+		want := dsptest.CorrValid(s, k)
 		if d := maxAbsDiff(got, want); d > 1e-9 {
 			t.Errorf("ls=%d lk=%d: optical correlation differs from digital by %g", tc.ls, tc.lk, d)
 		}
@@ -135,12 +142,12 @@ func TestPhysicalJTCLinearInSignal(t *testing.T) {
 	j := NewPhysicalJTC(1024)
 	s := randNonNeg(rng, 30)
 	k := randNonNeg(rng, 5)
-	base := j.Correlate(s, k)
+	base := correlate(j.Correlate, s, k)
 	scaled := make([]float64, len(s))
 	for i, v := range s {
 		scaled[i] = 0.37 * v
 	}
-	got := j.Correlate(scaled, k)
+	got := correlate(j.Correlate, scaled, k)
 	for i := range base {
 		if math.Abs(got[i]-0.37*base[i]) > 1e-9*(1+math.Abs(base[i])) {
 			t.Fatalf("not linear in signal at %d", i)
@@ -158,8 +165,8 @@ func TestPhysicalJTCLossyLensesRescale(t *testing.T) {
 	j.Nonlinear.Efficiency = 0.7
 	s := randNonNeg(rng, 25)
 	k := randNonNeg(rng, 6)
-	got := j.Correlate(s, k)
-	want := dsp.CorrValid(s, k)
+	got := correlate(j.Correlate, s, k)
+	want := dsptest.CorrValid(s, k)
 	if d := maxAbsDiff(got, want); d > 1e-9 {
 		t.Errorf("lossy JTC after rescale differs by %g", d)
 	}
@@ -168,10 +175,12 @@ func TestPhysicalJTCLossyLensesRescale(t *testing.T) {
 func TestPhysicalJTCValidation(t *testing.T) {
 	j := NewPhysicalJTC(256)
 	cases := []func(){
-		func() { j.Correlate(nil, []float64{1}) },
-		func() { j.Correlate([]float64{1}, []float64{1, 2}) },
-		func() { j.Correlate(randNonNeg(rand.New(rand.NewSource(6)), 100), []float64{1}) }, // exceeds N/8
-		func() { j.Correlate([]float64{-1, 2}, []float64{1}) },
+		func() { correlate(j.Correlate, nil, []float64{1}) },
+		func() { correlate(j.Correlate, []float64{1}, []float64{1, 2}) },
+		func() { correlate(j.Correlate, randNonNeg(rand.New(rand.NewSource(6)), 100), []float64{1}) }, // exceeds N/8
+		func() { correlate(j.Correlate, []float64{-1, 2}, []float64{1}) },
+		func() { j.Correlate(make([]float64, 1), []float64{1, 2}, []float64{1}) },    // destination too short
+		func() { j.Correlate(make([]float64, 4), []float64{1, 2, 3}, []float64{1}) }, // destination too long
 	}
 	for i, fn := range cases {
 		func() {
@@ -195,7 +204,7 @@ func TestPhysicalJTCProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := randNonNeg(rng, ls)
 		k := randNonNeg(rng, lk)
-		return maxAbsDiff(j.Correlate(s, k), dsp.CorrValid(s, k)) < 1e-8
+		return maxAbsDiff(correlate(j.Correlate, s, k), dsptest.CorrValid(s, k)) < 1e-8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -207,9 +216,10 @@ func BenchmarkPhysicalJTCCorrelate(b *testing.B) {
 	j := NewPhysicalJTC(2048)
 	s := randNonNeg(rng, 200)
 	k := randNonNeg(rng, 25)
+	dst := make([]float64, len(s)-len(k)+1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j.Correlate(s, k)
+		j.Correlate(dst, s, k)
 	}
 }

@@ -154,9 +154,13 @@ func min(a, b int) int {
 	return b
 }
 
-// Correlator computes a 1-D valid cross-correlation. The digital reference
+// Correlator computes a 1-D valid cross-correlation into dst:
+// dst[i] = Σ_j signal[i+j]·kernel[j] for the len(signal)-len(kernel)+1
+// valid lags, which must be exactly len(dst). The caller owns all three
+// slices: a correlator writes every sample of dst, only reads signal and
+// kernel, and keeps none of them after it returns. The digital reference
 // is dsp.CorrValid; PhysicalJTC.Correlate is the optical implementation.
-type Correlator func(signal, kernel []float64) []float64
+type Correlator func(dst, signal, kernel []float64)
 
 // PassStats tallies the work one tiled convolution performed, in the units
 // the paper uses for its §2.2 comparison: conversions (DAC samples written)
@@ -182,28 +186,38 @@ func (s *PassStats) Add(other PassStats) {
 // corr supplies the 1-D correlator (digital or physical).
 //
 // The three §2.2 strategies are all implemented; which one runs is decided
-// by PlanTiling from the plane size and waveguide count.
+// by PlanTiling from the plane size and waveguide count. ConvPlane runs
+// the engine's pass loop on fresh scratch, so the caller owns the plane.
 func ConvPlane(input [][]float64, kernel [][]float64, t int, corr Correlator) ([][]float64, PassStats) {
+	var s scratch
+	stats := s.convPlane(input, kernel, t, corr)
+	return s.plane, stats
+}
+
+// convPlane is the pass loop of ConvPlane. It writes the output plane to
+// s.plane and runs every pass on s's tiled signal, tiled kernel and
+// correlator output, which it reuses from call to call.
+func (s *scratch) convPlane(input [][]float64, kernel [][]float64, t int, corr Correlator) PassStats {
 	h, w := len(input), len(input[0])
 	kh, kw := len(kernel), len(kernel[0])
 	g := PlanTiling(h, w, kh, kw, t)
-	out := make([][]float64, g.OutH)
-	for i := range out {
-		out[i] = make([]float64, g.OutW)
-	}
+	out := s.outPlane(g.OutH, g.OutW)
 	var stats PassStats
 
 	switch g.Strategy {
 	case FullTiling:
-		kern1D := tileKernel(kernel, g.RowStride)
+		// Every output row is copied from a pass, so the plane needs no
+		// clearing.
+		kern1D := s.tileKernel(kernel, g.RowStride)
 		for r0 := 0; r0 < g.OutH; r0 += g.ValidRowsPerPass {
 			// The final pass may slide backward so its tile stays in
 			// range; the overlapping rows are recomputed (harmless).
 			if r0+g.RowsPerTile > h {
 				r0 = h - g.RowsPerTile
 			}
-			sig := tileRows(input, r0, g.RowsPerTile, g.RowStride)
-			res := corr(sig, kern1D)
+			sig := s.tileRows(input, r0, g.RowsPerTile, g.RowStride)
+			res := s.result(len(sig) - len(kern1D) + 1)
+			corr(res, sig, kern1D)
 			valid := g.ValidRowsPerPass
 			if r0+valid > g.OutH {
 				valid = g.OutH - r0
@@ -220,12 +234,15 @@ func ConvPlane(input [][]float64, kernel [][]float64, t int, corr Correlator) ([
 			}
 		}
 	case PartialTiling:
+		// Partial sums accumulate from zero, in pass order.
+		clear(s.planeBuf)
 		for oy := 0; oy < g.OutH; oy++ {
 			for j0 := 0; j0 < kh; j0 += g.RowsPerTile {
 				rows := min(g.RowsPerTile, kh-j0)
-				sig := tileRows(input, oy+j0, rows, g.RowStride)
-				kern1D := tileKernel(kernel[j0:j0+rows], g.RowStride)
-				res := corr(sig, kern1D)
+				sig := s.tileRows(input, oy+j0, rows, g.RowStride)
+				kern1D := s.tileKernel(kernel[j0:j0+rows], g.RowStride)
+				res := s.result(len(sig) - len(kern1D) + 1)
+				corr(res, sig, kern1D)
 				for x := 0; x < g.OutW; x++ {
 					out[oy][x] += res[x]
 				}
@@ -236,6 +253,7 @@ func ConvPlane(input [][]float64, kernel [][]float64, t int, corr Correlator) ([
 			stats.OutputReads += g.OutW
 		}
 	case RowPartitioning:
+		clear(s.planeBuf)
 		perSegment := t - kw + 1
 		for oy := 0; oy < g.OutH; oy++ {
 			for j := 0; j < kh; j++ {
@@ -243,7 +261,8 @@ func ConvPlane(input [][]float64, kernel [][]float64, t int, corr Correlator) ([
 				for x0 := 0; x0 < g.OutW; x0 += perSegment {
 					n := min(perSegment, g.OutW-x0)
 					seg := row[x0 : x0+n+kw-1]
-					res := corr(seg, kernel[j])
+					res := s.result(n)
+					corr(res, seg, kernel[j])
 					for x := 0; x < n; x++ {
 						out[oy][x0+x] += res[x]
 					}
@@ -255,37 +274,72 @@ func ConvPlane(input [][]float64, kernel [][]float64, t int, corr Correlator) ([
 			stats.OutputReads += g.OutW
 		}
 	}
-	return out, stats
+	return stats
 }
 
-// tileRows flattens rows [r0, r0+n) into a 1-D signal with the given row
-// stride, zero-padding between rows (Figure 2's gray blocks). The final
-// row's trailing pad is kept so the correlator sees a uniform layout.
-func tileRows(input [][]float64, r0, n, stride int) []float64 {
+// outPlane points s.plane's oh rows at an oh×ow block of s.planeBuf and
+// returns it. The block keeps whatever an earlier call left in it.
+func (s *scratch) outPlane(oh, ow int) [][]float64 {
+	s.planeBuf = grow(s.planeBuf, oh*ow)
+	if cap(s.plane) < oh {
+		s.plane = make([][]float64, oh)
+	}
+	s.plane = s.plane[:oh]
+	for y := range s.plane {
+		s.plane[y] = s.planeBuf[y*ow : (y+1)*ow]
+	}
+	return s.plane
+}
+
+// tileRows flattens rows [r0, r0+n) into s.sig with the given row stride,
+// zero-padding between rows (Figure 2's gray blocks). The pads are
+// re-zeroed on every call, since an earlier pass of another geometry may
+// have left samples there. The final row's trailing pad is kept so the
+// correlator sees a uniform layout.
+func (s *scratch) tileRows(input [][]float64, r0, n, stride int) []float64 {
 	w := len(input[0])
-	sig := make([]float64, n*stride)
+	s.sig = grow(s.sig, n*stride)
 	for r := 0; r < n; r++ {
-		copy(sig[r*stride:r*stride+w], input[r0+r])
+		copy(s.sig[r*stride:r*stride+w], input[r0+r])
+		clear(s.sig[r*stride+w : (r+1)*stride])
 	}
-	return sig
+	return s.sig
 }
 
-// tileKernel flattens kernel rows into a 1-D kernel with the row stride,
-// trimming the final row's padding (it contributes nothing and shortens the
-// correlation).
-func tileKernel(kernel [][]float64, stride int) []float64 {
+// tileKernel flattens kernel rows into s.kern with the row stride,
+// re-zeroing the padding between rows and trimming the final row's
+// padding (it contributes nothing and shortens the correlation).
+func (s *scratch) tileKernel(kernel [][]float64, stride int) []float64 {
 	kh, kw := len(kernel), len(kernel[0])
-	k := make([]float64, (kh-1)*stride+kw)
+	s.kern = grow(s.kern, (kh-1)*stride+kw)
 	for r := 0; r < kh; r++ {
-		copy(k[r*stride:r*stride+kw], kernel[r])
+		copy(s.kern[r*stride:r*stride+kw], kernel[r])
+		if r < kh-1 {
+			clear(s.kern[r*stride+kw : (r+1)*stride])
+		}
 	}
-	return k
+	return s.kern
+}
+
+// result returns s.res resized to a pass's n correlator outputs.
+func (s *scratch) result(n int) []float64 {
+	s.res = grow(s.res, n)
+	return s.res
+}
+
+// grow returns buf resized to n, allocating only when its capacity is
+// short. The samples it keeps are stale; callers overwrite or clear them.
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // DigitalCorrelator is the exact 1-D correlator used when the physical
-// optical path is not being exercised.
-func DigitalCorrelator(signal, kernel []float64) []float64 {
-	return dsp.CorrValid(signal, kernel)
+// optical path is not being exercised. It allocates nothing.
+func DigitalCorrelator(dst, signal, kernel []float64) {
+	dsp.CorrValid(dst, signal, kernel)
 }
 
 // ConversionsExample reproduces the paper's §2.2 accounting example: a JTC

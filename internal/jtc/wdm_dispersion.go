@@ -80,10 +80,10 @@ func (j *WDMJTC) WDMCorrelate(signals, kernels [][]float64) []float64 {
 	}
 	nOut := ls - lk + 1
 	sum := make([]float64, nOut)
+	band := make([]float64, nOut)
 	for i := range signals {
-		band := j.phys.Correlate(signals[i], kernels[i])
-		band = gaussianBlur(band, j.BlurSigma(i, len(signals)))
-		for p, v := range band {
+		j.phys.Correlate(band, signals[i], kernels[i])
+		for p, v := range gaussianBlur(band, j.BlurSigma(i, len(signals))) {
 			sum[p] += v
 		}
 	}
@@ -97,8 +97,9 @@ func (j *WDMJTC) WDMCorrelate(signals, kernels [][]float64) []float64 {
 func (j *WDMJTC) WDMError(signals, kernels [][]float64) float64 {
 	got := j.WDMCorrelate(signals, kernels)
 	want := make([]float64, len(got))
+	c := make([]float64, len(got))
 	for i := range signals {
-		c := dsp.CorrValid(signals[i], kernels[i])
+		dsp.CorrValid(c, signals[i], kernels[i])
 		for p, v := range c {
 			want[p] += v
 		}

@@ -21,12 +21,13 @@ import (
 
 // NoisyCorrelator wraps a correlator with detector-referred noise: every
 // output sample of every pass picks up the configured read/shot/RIN noise,
-// exactly as a photodetector array would add it before the ADC. It draws
-// from rng without locking, so an engine running it must set
-// Parallelism = 1.
+// exactly as a photodetector array would add it before the ADC. The noise
+// is applied in place to base's output in dst. It draws from rng without
+// locking, so an engine running it must set Parallelism = 1.
 func NoisyCorrelator(base jtc.Correlator, model optics.NoiseModel, rng *rand.Rand) jtc.Correlator {
-	return func(signal, kernel []float64) []float64 {
-		return model.Apply(rng, base(signal, kernel))
+	return func(dst, signal, kernel []float64) {
+		base(dst, signal, kernel)
+		model.Apply(rng, dst)
 	}
 }
 
@@ -35,7 +36,8 @@ func NoisyCorrelator(base jtc.Correlator, model optics.NoiseModel, rng *rand.Ran
 // once from N(1, sigma²) — the fabrication mismatch and responsivity
 // variation that §7.2 proposes to handle by "modeling and injecting noise
 // during training". The pattern is a property of the device (seeded), not
-// of the run: the same deviceSeed always yields the same detectors.
+// of the run: the same deviceSeed always yields the same detectors. The
+// gains are applied in place to base's output in dst.
 func FixedPatternCorrelator(base jtc.Correlator, sigma float64, deviceSeed int64) jtc.Correlator {
 	const maxDetectors = 4096
 	rng := rand.New(rand.NewSource(deviceSeed))
@@ -43,15 +45,14 @@ func FixedPatternCorrelator(base jtc.Correlator, sigma float64, deviceSeed int64
 	for i := range gains {
 		gains[i] = 1 + sigma*rng.NormFloat64()
 	}
-	return func(signal, kernel []float64) []float64 {
-		out := base(signal, kernel)
-		if len(out) > maxDetectors {
+	return func(dst, signal, kernel []float64) {
+		if len(dst) > maxDetectors {
 			panic("noise: output exceeds the modelled detector array")
 		}
-		for i := range out {
-			out[i] *= gains[i]
+		base(dst, signal, kernel)
+		for i := range dst {
+			dst[i] *= gains[i]
 		}
-		return out
 	}
 }
 
@@ -125,8 +126,16 @@ func (t *TemplateClassifier) Sample(rng *rand.Rand, c int, signalLen int, inputN
 // noisy wrapper).
 func (t *TemplateClassifier) Classify(signal []float64, corr jtc.Correlator) int {
 	best, bi := -1.0, 0
+	var out []float64
 	for c, tpl := range t.Templates {
-		out := corr(signal, tpl)
+		// Templates may differ in length; one longer than the signal
+		// gets the correlator's own panic.
+		n := max(len(signal)-len(tpl)+1, 0)
+		if cap(out) < n {
+			out = make([]float64, n)
+		}
+		out = out[:n]
+		corr(out, signal, tpl)
 		for _, v := range out {
 			if v > best {
 				best, bi = v, c

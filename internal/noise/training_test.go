@@ -13,9 +13,9 @@ import (
 func TestFixedPatternDeterministic(t *testing.T) {
 	sig := []float64{1, 2, 3, 4, 5, 6}
 	k := []float64{1, 1}
-	a := FixedPatternCorrelator(jtc.DigitalCorrelator, 0.2, 11)(sig, k)
-	b := FixedPatternCorrelator(jtc.DigitalCorrelator, 0.2, 11)(sig, k)
-	c := FixedPatternCorrelator(jtc.DigitalCorrelator, 0.2, 12)(sig, k)
+	a := correlate(FixedPatternCorrelator(jtc.DigitalCorrelator, 0.2, 11), sig, k)
+	b := correlate(FixedPatternCorrelator(jtc.DigitalCorrelator, 0.2, 11), sig, k)
+	c := correlate(FixedPatternCorrelator(jtc.DigitalCorrelator, 0.2, 12), sig, k)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same device produced different gains")
@@ -31,8 +31,8 @@ func TestFixedPatternDeterministic(t *testing.T) {
 		t.Error("different devices produced identical gains")
 	}
 	// Zero mismatch is the identity.
-	ideal := FixedPatternCorrelator(jtc.DigitalCorrelator, 0, 11)(sig, k)
-	want := jtc.DigitalCorrelator(sig, k)
+	ideal := correlate(FixedPatternCorrelator(jtc.DigitalCorrelator, 0, 11), sig, k)
+	want := correlate(jtc.DigitalCorrelator, sig, k)
 	for i := range want {
 		if math.Abs(ideal[i]-want[i]) > 1e-12 {
 			t.Error("zero-sigma fixed pattern altered the signal")

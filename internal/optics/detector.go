@@ -154,9 +154,10 @@ type NoiseModel struct {
 	RINSigma  float64 // multiplicative noise sigma (fractional)
 }
 
-// Apply returns a noisy copy of the signal using rng.
-func (n NoiseModel) Apply(rng *rand.Rand, signal []float64) []float64 {
-	out := make([]float64, len(signal))
+// Apply adds the noise to signal in place, drawing from rng sample by
+// sample in the order RIN, shot, read (each only when its sigma is
+// non-zero). Shot noise scales with the noiseless sample.
+func (n NoiseModel) Apply(rng *rand.Rand, signal []float64) {
 	for i, v := range signal {
 		x := v
 		if n.RINSigma > 0 {
@@ -168,7 +169,6 @@ func (n NoiseModel) Apply(rng *rand.Rand, signal []float64) []float64 {
 		if n.ReadSigma > 0 {
 			x += n.ReadSigma * rng.NormFloat64()
 		}
-		out[i] = x
+		signal[i] = x
 	}
-	return out
 }

@@ -118,7 +118,8 @@ func TestNoiseModelStatistics(t *testing.T) {
 	for i := range signal {
 		signal[i] = 5
 	}
-	noisy := nm.Apply(rng, signal)
+	noisy := append([]float64(nil), signal...)
+	nm.Apply(rng, noisy)
 	var mean, varsum float64
 	for _, v := range noisy {
 		mean += v
@@ -145,9 +146,9 @@ func TestNoiseModelShotScalesWithSignal(t *testing.T) {
 		for i := range sig {
 			sig[i] = level
 		}
-		noisy := nm.Apply(rng, sig)
+		nm.Apply(rng, sig)
 		var varsum float64
-		for _, v := range noisy {
+		for _, v := range sig {
 			varsum += (v - level) * (v - level)
 		}
 		return math.Sqrt(varsum / float64(n))
@@ -162,10 +163,32 @@ func TestNoiseModelShotScalesWithSignal(t *testing.T) {
 func TestNoiseModelZeroIsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	sig := []float64{1, -2, 3}
-	out := NoiseModel{}.Apply(rng, sig)
+	out := append([]float64(nil), sig...)
+	NoiseModel{}.Apply(rng, out)
 	for i := range sig {
 		if out[i] != sig[i] {
 			t.Error("zero noise model altered the signal")
+		}
+	}
+}
+
+// TestNoiseModelApplyInPlace: Apply overwrites the signal, drawing RIN,
+// shot and read noise per sample in that order, with the shot noise
+// scaled by the noiseless sample.
+func TestNoiseModelApplyInPlace(t *testing.T) {
+	nm := NoiseModel{ReadSigma: 0.05, ShotCoeff: 0.2, RINSigma: 0.1}
+	sig := []float64{4, -9, 0.25}
+	want := make([]float64, len(sig))
+	draws := rand.New(rand.NewSource(5))
+	for i, v := range sig {
+		x := v * (1 + nm.RINSigma*draws.NormFloat64())
+		x += nm.ShotCoeff * math.Sqrt(math.Abs(v)) * draws.NormFloat64()
+		want[i] = x + nm.ReadSigma*draws.NormFloat64()
+	}
+	nm.Apply(rand.New(rand.NewSource(5)), sig)
+	for i := range sig {
+		if sig[i] != want[i] {
+			t.Errorf("sample %d: %g, want %g", i, sig[i], want[i])
 		}
 	}
 }

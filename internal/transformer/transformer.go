@@ -105,6 +105,7 @@ func SequenceConv(x [][]float64, kernel [][]float64, corr jtc.Correlator) [][]fl
 		out[t] = make([]float64, d)
 	}
 	col := make([]float64, l)
+	res := make([]float64, outL)
 	for j := 0; j < d; j++ {
 		if len(kernel[j]) != k {
 			panic("transformer: ragged kernel lengths")
@@ -112,7 +113,7 @@ func SequenceConv(x [][]float64, kernel [][]float64, corr jtc.Correlator) [][]fl
 		for t := 0; t < l; t++ {
 			col[t] = x[t][j]
 		}
-		res := corr(col, kernel[j])
+		corr(res, col, kernel[j])
 		for t := 0; t < outL; t++ {
 			out[t][j] = res[t]
 		}

@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 
 	"refocus/internal/dataflow"
-	"refocus/internal/dsp"
+	"refocus/internal/dsp/dsptest"
 	"refocus/internal/jtc"
 	"refocus/internal/optics"
 )
@@ -135,7 +135,7 @@ func TestSequenceConvMatchesReference(t *testing.T) {
 		for t2 := 0; t2 < l; t2++ {
 			col[t2] = x[t2][j]
 		}
-		want := dsp.CorrValid(col, kernels[j])
+		want := dsptest.CorrValid(col, kernels[j])
 		for t2 := range want {
 			if math.Abs(digital[t2][j]-want[t2]) > 1e-12 {
 				t.Fatalf("channel %d position %d: %g vs %g", j, t2, digital[t2][j], want[t2])
